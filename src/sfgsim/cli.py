@@ -1,21 +1,28 @@
 """Command-line front end.
 
 Commands: ``steady``, ``stability-map``, ``spectrum``,
-``simulate --mode tw|cavity`` and ``reproduce figN``.  Flags mirror the
-configuration keys and override values read with ``--config FILE``.
+``simulate --mode tw|cavity`` and ``reproduce figN``.  Each subcommand's
+flags are generated from the ``RunConfig`` keys it exposes (the
+``_SUBCOMMANDS`` table); a flag's value parses exactly as the same key
+does in a configuration file, and flags override values read with
+``--config FILE``.
 Every data-producing command writes CSV files (full round-trip precision,
 deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
 any CSV can be regenerated from its sidecar alone.
 
-Exit codes: 0 success; 1 usage or configuration error; 2 spectra
-requested at an unstable operating point; 3 ensemble quality failure
-(diverged trajectories).  The only environment variable honoured is
-SFGSIM_THREADS (default worker count for trajectory ensembles).
+Exit codes: 0 success; 1 usage, configuration, parameter, file or
+solver error; 2 spectra requested at an unstable operating point; 3
+ensemble quality failure (diverged trajectories).  Every failure prints a
+one-line ``error:`` message.  The only environment variable honoured is
+SFGSIM_THREADS (default worker count for trajectory ensembles), parsed
+and checked like the ``threads`` key.
 """
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,27 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_param_flags(p):
-    p.add_argument("--config", metavar="FILE", help="key=value configuration file")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--gamma3", type=float)
-    p.add_argument("--eps1", type=complex)
-    p.add_argument("--eps2", type=complex)
-    p.add_argument("--output", metavar="PREFIX", help="output file prefix")
-    p.add_argument("--threads", type=int, help="worker threads (default: SFGSIM_THREADS)")
+_PARAM_KEYS = ("kappa", "gamma1", "gamma2", "gamma3", "eps1", "eps2", "output", "threads")
+_TRAJECTORY_KEYS = ("dt", "t_max", "sample_stride", "n_traj", "seed",
+                    "alpha1_0", "alpha2_0", "alpha3_0")
 
+# subcommand -> (help, the RunConfig keys it exposes as --flags, in order)
+_SUBCOMMANDS = {
+    "steady": ("classical steady state and stability", _PARAM_KEYS),
+    "stability-map": ("stability boundary over gamma3/gamma",
+                      _PARAM_KEYS + ("ratio_min", "ratio_max", "n_ratio", "eps_max")),
+    "spectrum": ("output quadrature spectra at a stable point",
+                 _PARAM_KEYS + ("omega_min", "omega_max", "n_omega")),
+    "simulate": ("stochastic trajectory ensemble",
+                 _PARAM_KEYS + _TRAJECTORY_KEYS + ("mode",)),
+    "reproduce": ("run a named scenario preset", _PARAM_KEYS + ("n_traj", "seed")),
+}
 
-def _add_trajectory_flags(p):
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--sample-stride", dest="sample_stride", type=int)
-    p.add_argument("--n-traj", dest="n_traj", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha1-0", dest="alpha1_0", type=complex)
-    p.add_argument("--alpha2-0", dest="alpha2_0", type=complex)
-    p.add_argument("--alpha3-0", dest="alpha3_0", type=complex)
+# argparse settings beyond the value type, which always comes from the schema
+_FLAG_EXTRAS = {
+    "output": {"metavar": "PREFIX", "help": "output file prefix"},
+    "threads": {"help": "worker threads (default: SFGSIM_THREADS)"},
+    "mode": {"choices": ("tw", "cavity")},
+}
 
 
 def build_parser():
@@ -76,55 +84,40 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"sfgsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("steady", parents=[], help="classical steady state and stability")
-    _add_param_flags(p)
-
-    p = sub.add_parser("stability-map", help="stability boundary over gamma3/gamma")
-    _add_param_flags(p)
-    p.add_argument("--ratio-min", dest="ratio_min", type=float)
-    p.add_argument("--ratio-max", dest="ratio_max", type=float)
-    p.add_argument("--n-ratio", dest="n_ratio", type=int)
-    p.add_argument("--eps-max", dest="eps_max", type=float)
-
-    p = sub.add_parser("spectrum", help="output quadrature spectra at a stable point")
-    _add_param_flags(p)
-    p.add_argument("--omega-min", dest="omega_min", type=float)
-    p.add_argument("--omega-max", dest="omega_max", type=float)
-    p.add_argument("--n-omega", dest="n_omega", type=int)
-
-    p = sub.add_parser("simulate", help="stochastic trajectory ensemble")
-    _add_param_flags(p)
-    _add_trajectory_flags(p)
-    p.add_argument("--mode", choices=("tw", "cavity"), default=None)
-
-    p = sub.add_parser("reproduce", help="run a named scenario preset")
+    for command, (help_text, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="FILE", help="key=value configuration file")
+        for key in keys:
+            # an absent flag leaves no attribute, so it never masks the file
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=functools.partial(cfgmod._parse_value, key),
+                           default=argparse.SUPPRESS, **_FLAG_EXTRAS.get(key, {}))
+    p = sub.choices["reproduce"]
     p.add_argument("figure", choices=sorted(presetsmod.PRESETS))
-    _add_param_flags(p)
-    p.add_argument("--n-traj", dest="n_traj", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a matplotlib script for the CSV")
-
     return parser
 
 
 def _merge_config(args):
-    """File values first, then explicit flags on top."""
-    if getattr(args, "config", None):
+    """File values first, then explicit flags, then SFGSIM_THREADS if unset."""
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = cfgmod.parse_config(fh.read())
     else:
         cfg = cfgmod.RunConfig()
     cfg.command = args.command
-    for key in vars(cfg):
-        if key == "command":
-            continue
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+    for key in _SUBCOMMANDS[args.command][1]:
+        if hasattr(args, key):
+            setattr(cfg, key, getattr(args, key))
     if args.command == "reproduce":
         cfg.reproduce = args.figure
+    env_threads = os.environ.get("SFGSIM_THREADS")
+    if cfg.threads is None and env_threads is not None:
+        try:
+            cfg.threads = cfgmod._parse_value("threads", env_threads)
+        except ConfigError as exc:
+            raise ConfigError(f"SFGSIM_THREADS: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -357,15 +350,15 @@ def main(argv=None):
         if cfg.command == "reproduce":
             return _cmd_reproduce(cfg, plot_script=getattr(args, "plot_script", False))
         raise ConfigError(f"unhandled command {cfg.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnstableOperatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except EnsembleQualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENSEMBLE
+    except (SfgsimError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Run configuration: parsing, validation and rendering.
 
 Configuration text is one ``key=value`` per line with ``#`` comments.
-Every key is validated against the schema below; unknown keys and
+Each key's value type is read from its ``RunConfig`` annotation, and the
+command-line flags parse through the same schema; unknown keys and
 malformed values are rejected with the offending line number.  ``auto``
 stands for a value resolved at run time (step sizes, grids).  Rendering
 and parsing round-trip exactly.
 """
 
+import cmath
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,19 +61,18 @@ class RunConfig:
 
     def __post_init__(self):
         # canonical types: rendering and parsing then round-trip exactly
-        for name in ("eps1", "eps2", "alpha1_0", "alpha2_0", "alpha3_0"):
-            setattr(self, name, complex(getattr(self, name)))
-        for name in ("kappa", "gamma1", "gamma2", "gamma3", "ratio_min",
-                     "ratio_max"):
-            setattr(self, name, float(getattr(self, name)))
-        for name in ("dt", "t_max", "omega_min", "omega_max", "eps_max"):
+        for name, (kind, optional) in _SCHEMA.items():
             val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, float(val))
+            if kind in (float, complex) and not (optional and val is None):
+                setattr(self, name, kind(val))
 
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
+        for name, (kind, _) in _SCHEMA.items():
+            val = getattr(self, name)
+            if kind in (float, complex) and val is not None and not cmath.isfinite(val):
+                raise ConfigError(f"invariant violated: {name} is finite (got {val})")
         if not self.kappa > 0:
             raise ConfigError(f"invariant violated: kappa > 0 (got {self.kappa})")
         for name in ("gamma1", "gamma2", "gamma3"):
@@ -109,23 +111,24 @@ class RunConfig:
         return "travelling-wave" if self.mode in ("tw", "travelling-wave") else "cavity"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _schema_entry(annotation):
+    """(value type, whether None/auto is allowed) of one RunConfig annotation."""
+    args = [a for a in typing.get_args(annotation) if a is not type(None)]
+    return (args[0], True) if args else (annotation, False)
+
+
+# key -> (value type, optional): the one place each key's type is decided
+_SCHEMA = {f.name: _schema_entry(f.type) for f in fields(RunConfig)}
 
 
 def _parse_value(key, text):
+    """Parse one value of ``key``; config files and CLI flags share this."""
     text = text.strip()
-    kind = _FIELD_TYPES[key]
-    optional = "None" in str(kind)
+    kind, optional = _SCHEMA[key]
     if optional and text.lower() in ("auto", "none"):
         return None
     try:
-        if key in ("eps1", "eps2", "alpha1_0", "alpha2_0", "alpha3_0"):
-            return complex(text.replace(" ", ""))
-        if key in ("sample_stride", "n_traj", "seed", "n_omega", "n_ratio", "threads"):
-            return int(text)
-        if key in ("command", "mode", "reproduce", "output"):
-            return text
-        return float(text)
+        return kind(text.replace(" ", "") if kind is complex else text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}={text!r}: {exc}") from None
 
@@ -145,17 +148,13 @@ def parse_config(text) -> RunConfig:
             raise ConfigError("expected key=value", line=lineno)
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         try:
             values[key] = _parse_value(key, val)
         except ConfigError as exc:
             raise ConfigError(str(exc), line=lineno) from None
-    cfg = RunConfig(**values)
-    try:
-        return cfg.validate()
-    except ConfigError:
-        raise
+    return RunConfig(**values).validate()
 
 
 def _render_value(value):

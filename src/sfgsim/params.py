@@ -7,7 +7,8 @@ complex.  Setting every loss and pump to zero recovers the free
 travelling-wave interaction.
 """
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, fields
 
 # Relative tolerance used when deciding whether the two low-frequency
 # modes are driven and damped symmetrically.
@@ -26,7 +27,7 @@ class SystemParams:
     ----------
     kappa : float
         Effective second-order nonlinearity (inverse time per field
-        amplitude).  Must be positive.
+        amplitude).  Must be positive.  Every rate and pump must be finite.
     gamma1, gamma2, gamma3 : float
         Cavity amplitude loss rates of the three modes (inverse time),
         each nonnegative.  All zero means travelling-wave operation.
@@ -50,6 +51,9 @@ class SystemParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "eps1", complex(self.eps1))
         object.__setattr__(self, "eps2", complex(self.eps2))
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     @property
     def gammas(self):

@@ -58,8 +58,7 @@ class FigurePreset:
 
     name: str
     description: str
-    kind: str                # "trajectory" | "spectrum"
-    parameters: dict         # literal parameter table, one entry per curve
+    parameters: dict         # parameter table the runner builds from, one entry per curve
     default_n_traj: int | None
 
     def run(self, n_traj=None, seed=None, threads=None):
@@ -76,23 +75,24 @@ def _tw_config(n_traj, seed):
 
 def travelling_wave_ensemble(n_traj=None, seed=None, threads=None):
     """The shared travelling-wave ensemble behind fig1/fig2/fig3."""
-    params = SystemParams.travelling_wave(TW_KAPPA)
-    init = trajectories.PhaseSpacePoint.coherent(alpha1=TW_ALPHA0, alpha2=TW_ALPHA0)
+    params = SystemParams.travelling_wave(_TW_PARAMS["kappa"])
+    init = trajectories.PhaseSpacePoint.coherent(
+        _TW_PARAMS["alpha1_0"], _TW_PARAMS["alpha2_0"], _TW_PARAMS["alpha3_0"])
     cfg = _tw_config(n_traj or TW_N_TRAJ, TW_SEED if seed is None else seed)
     return trajectories.run_ensemble(params, init, cfg, threads=threads)
 
 
-def _sig(values, se, against, below=True, factor=3.0):
-    """Largest margin (in SE units) by which values beat a bound."""
+def _sig(values, se, bound):
+    """Largest margin (in SE units) by which values fall below a bound."""
     good = se > 0
     if not np.any(good):
         return -np.inf
-    z = (against - values[good]) / se[good] if below else (values[good] - against) / se[good]
-    return float(z.max())
+    return float(((bound - values[good]) / se[good]).max())
 
 
 def _run_fig1(preset, n_traj=None, seed=None, threads=None, table=None):
-    table = table if table is not None else travelling_wave_ensemble(n_traj, seed, threads)
+    if table is None:
+        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
     inten, se = table.intensities()
     t = table.times
     cols = {
@@ -146,7 +146,8 @@ def _run_fig1(preset, n_traj=None, seed=None, threads=None, table=None):
 
 
 def _run_fig2(preset, n_traj=None, seed=None, threads=None, table=None):
-    table = table if table is not None else travelling_wave_ensemble(n_traj, seed, threads)
+    if table is None:
+        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
     t = table.times
     vx3 = corr.quadrature_variance(table, corr.QuadratureSpec.x(3))
     fano12 = corr.fano_sum(table)
@@ -175,7 +176,8 @@ def _run_fig2(preset, n_traj=None, seed=None, threads=None, table=None):
 
 
 def _run_fig3(preset, n_traj=None, seed=None, threads=None, table=None):
-    table = table if table is not None else travelling_wave_ensemble(n_traj, seed, threads)
+    if table is None:
+        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
     t = table.times
     ds = corr.duan_simon(table)
     epr12 = corr.epr_product(table, 1, 2)
@@ -202,65 +204,62 @@ def _run_fig3(preset, n_traj=None, seed=None, threads=None, table=None):
     )
 
 
-def _sym_spectrum_family(quantity):
-    """Spectral sweeps of one correlation for the three standard drives."""
-    results = {}
-    for eps in SPECTRUM_EPS:
-        p = SystemParams.symmetric(0.01, 1.0, 10.0, eps)
-        res = spectra.spectrum(p)
-        if quantity == "vx3":
-            results[eps] = (res.omega, res.variance(3, "X"))
-        elif quantity == "duan_simon":
-            results[eps] = (res.omega, spectra.spectral_duan_simon(res))
-        elif quantity == "epr":
-            results[eps] = (res.omega, spectra.spectral_epr(res, 1, 2))
-    return results
+def _family_result(preset, quantity, threshold, strongest_only=False):
+    """Spectral sweeps of one correlation, one per entry of the preset's table.
 
-
-def _family_result(preset, quantity, threshold, deepest_below):
-    fam = _sym_spectrum_family(quantity)
-    omega = fam[SPECTRUM_EPS[0]][0]
-    cols = {"omega": omega}
+    The table runs from weakest to strongest drive; the threshold is
+    checked at every drive, or at the strongest only.
+    """
+    cols = {}
     minima = {}
-    for eps in SPECTRUM_EPS:
-        cols[f"{quantity}_eps{int(eps)}"] = fam[eps][1]
-        minima[eps] = float(fam[eps][1].min())
+    for run in preset.parameters.values():
+        res = spectra.spectrum(SystemParams(**run))
+        if quantity == "vx3":
+            values = res.variance(3, "X")
+        elif quantity == "duan_simon":
+            values = spectra.spectral_duan_simon(res)
+        elif quantity == "epr":
+            values = spectra.spectral_epr(res, 1, 2)
+        cols.setdefault("omega", res.omega)
+        eps = int(run["eps1"])
+        cols[f"{quantity}_eps{eps}"] = values
+        minima[eps] = float(values.min())
 
     checks = []
-    if deepest_below is not None:
-        for eps in deepest_below:
-            checks.append(Check(
-                f"below threshold at eps={int(eps)}",
-                minima[eps] < threshold,
-                f"min {minima[eps]:.4f} vs {threshold}",
-            ))
-    mono = minima[200.0] > minima[400.0] > minima[600.0]
+    for eps in list(minima)[-1:] if strongest_only else minima:
+        checks.append(Check(
+            f"below threshold at eps={eps}",
+            minima[eps] < threshold,
+            f"min {minima[eps]:.4f} vs {threshold}",
+        ))
+    depths = list(minima.values())
+    mono = all(a > b for a, b in zip(depths, depths[1:]))
     checks.append(Check(
         "deepens with drive", bool(mono),
-        "minima " + " > ".join(f"{minima[e]:.4f}" for e in SPECTRUM_EPS),
+        "minima " + " > ".join(f"{m:.4f}" for m in depths),
     ))
     return PresetResult(
         name=preset.name, axis_name="omega", axis_unit="units of gamma1",
         columns=cols,
-        metadata={"minima": {str(int(k)): v for k, v in minima.items()}},
+        metadata={"minima": {str(k): v for k, v in minima.items()}},
         checks=checks,
     )
 
 
 def _run_fig4(preset, **_):
-    return _family_result(preset, "vx3", 1.0, SPECTRUM_EPS)
+    return _family_result(preset, "vx3", 1.0)
 
 
 def _run_fig5(preset, **_):
-    return _family_result(preset, "duan_simon", 4.0, SPECTRUM_EPS)
+    return _family_result(preset, "duan_simon", 4.0)
 
 
 def _run_fig6(preset, **_):
-    return _family_result(preset, "epr", 1.0, (600.0,))
+    return _family_result(preset, "epr", 1.0, strongest_only=True)
 
 
 def _run_fig7(preset, **_):
-    p = SystemParams(0.01, 1.0, 40.0, 2.0, 400.0, 2400.0)
+    p = SystemParams(**preset.parameters["run"])
     res = spectra.spectrum(p)
     epr12 = spectra.spectral_epr(res, 1, 2)
     epr21 = spectra.spectral_epr(res, 2, 1)
@@ -280,17 +279,16 @@ def _run_fig7(preset, **_):
 
 
 def _run_fig8(preset, n_traj=None, seed=None, threads=None):
-    p = SystemParams.symmetric(0.01, 1.0, 10.0, 1000.0)
+    p = SystemParams(**preset.parameters["run"])
     init = trajectories.PhaseSpacePoint.vacuum()
     cfg = trajectories.TrajectoryConfig(
-        dt=1e-4, t_max=14.0, n_traj=n_traj or CAVITY_N_TRAJ,
+        dt=1e-4, t_max=14.0, n_traj=n_traj or preset.default_n_traj,
         seed=CAVITY_SEED if seed is None else seed,
         sample_stride=1000, mode="cavity",
     )
     table = trajectories.run_ensemble(p, init, cfg, threads=threads)
     t_sc, sc = trajectories.semiclassical_trajectory(p, init, cfg)
-    ss = steady.solve_steady_general(p)
-    fp = ss.intensities
+    fp = steady.solve_steady(p).intensities
 
     inten, se = table.intensities()
     sc_n = np.real(sc[:, 1::2] * sc[:, 0::2])
@@ -345,40 +343,38 @@ PRESETS = {
     "fig1": FigurePreset(
         "fig1",
         "travelling-wave mean intensities: conversion and quantum reconversion",
-        "trajectory", {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ,
     ),
     "fig2": FigurePreset(
         "fig2",
         "travelling-wave squeezing of X3 and Fano factor of the intensity sum",
-        "trajectory", {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ,
     ),
     "fig3": FigurePreset(
         "fig3",
         "travelling-wave joint-quadrature and inferred-variance entanglement",
-        "trajectory", {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ,
     ),
     "fig4": FigurePreset(
         "fig4", "output squeezing spectra of X3 versus drive strength",
-        "spectrum", _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None,
     ),
     "fig5": FigurePreset(
         "fig5", "joint-quadrature entanglement spectra versus drive strength",
-        "spectrum", _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None,
     ),
     "fig6": FigurePreset(
         "fig6", "inferred-variance product spectra versus drive strength",
-        "spectrum", _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None,
     ),
     "fig7": FigurePreset(
         "fig7", "steering asymmetry with unequal losses and pumps",
-        "spectrum",
         {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 40.0, "gamma3": 2.0,
                  "eps1": 400.0, "eps2": 2400.0}},
         None,
     ),
     "fig8": FigurePreset(
         "fig8", "above-threshold cavity dynamics versus the semiclassical prediction",
-        "trajectory",
         {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 10.0,
                  "eps1": 1000.0, "eps2": 1000.0}},
         CAVITY_N_TRAJ,

@@ -16,7 +16,7 @@ input-output relations with vacuum inputs: shot noise is 1 and each mode
 couples out through its full loss rate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +106,11 @@ def stability_margin(A):
 def intracavity_spectrum(A, D, omega):
     """Spectral matrix S(w) = (A+iw)^(-1) D (A^T-iw)^(-1) by linear solves.
 
-    Refuses to evaluate when A has a non-positive stability margin: the
-    fluctuations have no stationary state there and the full stochastic
-    equations must be integrated instead.
+    ``omega`` is one frequency or a grid of them; a grid of shape (N,)
+    gives a stack of shape (N, 6, 6), solved in one batched pair of
+    solves.  Refuses to evaluate when A has a non-positive stability
+    margin: the fluctuations have no stationary state there and the full
+    stochastic equations must be integrated instead.
     """
     margin = stability_margin(A)
     if margin <= STABILITY_TOL:
@@ -117,14 +119,16 @@ def intracavity_spectrum(A, D, omega):
             "linearized spectra are invalid here - integrate the stochastic "
             "equations with sfgsim.trajectories.run_ensemble instead"
         )
-    eye = np.eye(DIM)
-    left = np.linalg.solve(A + 1j * omega * eye, D)
+    iw = 1j * np.asarray(omega, dtype=float)[..., None, None] * np.eye(DIM)
+    left = np.linalg.solve(A + iw, D)
     # right-multiplication by (A^T - iw)^(-1) via a transposed solve
-    return np.linalg.solve(A - 1j * omega * eye, left.T).T
+    return np.linalg.solve(A - iw, left.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def output_spectra(params, S):
     """Measured output quadrature covariance matrix at one frequency.
+
+    ``S`` may also be a stack of shape (N, 6, 6), one matrix per frequency.
 
     Transforms the phase-space spectrum to the quadrature basis
     (X1, Y1, X2, Y2, X3, Y3), symmetrizes, takes the real part and applies
@@ -138,7 +142,7 @@ def output_spectra(params, S):
     known parametric-oscillator output spectra.
     """
     SQ = _U @ np.asarray(S) @ _U.T
-    sym = 0.5 * (SQ + SQ.T)
+    sym = 0.5 * (SQ + SQ.swapaxes(-1, -2))
     g = np.repeat(params.gammas, 2)
     G = np.sqrt(g)
     return np.eye(DIM) + 2.0 * np.real(sym) * np.outer(G, G)
@@ -150,11 +154,13 @@ def _quadrature_residues(S):
     Returns (asymmetry, imag_residue): the magnitude removed by
     symmetrization (an odd-in-frequency quadrature-phase component, often
     genuinely nonzero) and the imaginary residue of the symmetrized
-    matrix, which should sit at rounding level.
+    matrix, which should sit at rounding level.  Over a stack of
+    matrices both are maxima across the stack.
     """
     SQ = _U @ np.asarray(S) @ _U.T
-    asym = float(np.max(np.abs(SQ - SQ.T)))
-    imag = float(np.max(np.abs((0.5 * (SQ + SQ.T)).imag)))
+    SQt = SQ.swapaxes(-1, -2)
+    asym = float(np.max(np.abs(SQ - SQt)))
+    imag = float(np.max(np.abs((0.5 * (SQ + SQt)).imag)))
     return asym, imag
 
 
@@ -217,34 +223,12 @@ def spectrum(params, ss=None, omegas=None):
         omegas = default_omegas(params)
     omegas = np.asarray(omegas, dtype=float)
 
-    A = drift_matrix(params, ss)
-    D = diffusion_product(params, ss)
-    margin = stability_margin(A)
-    if margin <= STABILITY_TOL:
-        raise UnstableOperatingPointError(
-            f"operating point is unstable (stability margin {margin:.3e}); "
-            "linearized spectra are invalid here - integrate the stochastic "
-            "equations with sfgsim.trajectories.run_ensemble instead"
-        )
-
-    n = omegas.size
-    intracavity = np.empty((n, DIM, DIM), dtype=complex)
-    output = np.empty((n, DIM, DIM), dtype=float)
-    asym = 0.0
-    imag = 0.0
-    eye = np.eye(DIM)
-    for i, w in enumerate(omegas):
-        left = np.linalg.solve(A + 1j * w * eye, D)
-        S = np.linalg.solve(A - 1j * w * eye, left.T).T
-        intracavity[i] = S
-        output[i] = output_spectra(params, S)
-        a, im = _quadrature_residues(S)
-        asym = max(asym, a)
-        imag = max(imag, im)
+    S = intracavity_spectrum(drift_matrix(params, ss), diffusion_product(params, ss), omegas)
+    asym, imag = _quadrature_residues(S)
     return SpectrumResult(
         omega=omegas,
-        intracavity=intracavity,
-        output=output,
+        intracavity=S,
+        output=output_spectra(params, S),
         max_asymmetry=asym,
         max_imag_residue=imag,
         params=params,

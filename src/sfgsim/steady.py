@@ -18,6 +18,12 @@ which is monotone on a3 <= 0 and therefore has exactly one nonpositive
 real root: the physical branch (a3 <= 0, a = eps/(gamma - kappa a3) >= 0).
 Raising the drive pushes kappa*a3 toward -gamma, where the slowest drift
 eigenvalue crosses zero; that defines the critical operating point.
+
+``solve_steady_symmetric`` takes that root from the companion-matrix
+roots (``np.roots``), polishes it with Newton steps on the cubic and
+verifies it against the full fixed-point equations.  Any other driving
+goes to ``solve_steady_general``: Newton iteration on the six phase-space
+components with backtracking and a damped fixed-point fallback.
 """
 
 from dataclasses import dataclass
@@ -147,32 +153,6 @@ def _cubic_coeffs(kappa, gamma, gamma3, eps):
     )
 
 
-def _closed_form_root(kappa, gamma, gamma3, eps):
-    """Physical root of the symmetric cubic via the explicit radical form.
-
-    The radicand combination suffers catastrophic cancellation at strong
-    drive, so the radical value is polished with a few Newton steps on the
-    cubic before use.
-    """
-    inner = 27 * gamma3**4 * kappa**8 * eps**2 * (27 * kappa**2 * eps**2 + 4 * gamma3 * gamma**3)
-    xi3 = -2 * gamma**3 * gamma3**3 * kappa**3 - 27 * gamma3**2 * kappa**5 * eps**2 + np.sqrt(inner)
-    # real cube root; xi3 <= 0 for all physical parameters
-    xi = -np.abs(xi3) ** (1.0 / 3.0) if xi3 < 0 else xi3 ** (1.0 / 3.0)
-    if xi == 0.0:
-        return 0.0
-    a3 = (
-        4.0 * gamma / kappa
-        + 16.0 ** (1.0 / 3.0) * gamma**2 * gamma3 / xi
-        + 2.0 ** (2.0 / 3.0) * xi / (gamma3 * kappa**2)
-    ) / 6.0
-    c3, c2, c1, c0 = _cubic_coeffs(kappa, gamma, gamma3, eps)
-    for _ in range(4):
-        f = ((c3 * a3 + c2) * a3 + c1) * a3 + c0
-        fp = (3 * c3 * a3 + 2 * c2) * a3 + c1
-        a3 -= f / fp
-    return a3
-
-
 def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     """Closed-form steady state of the symmetrically driven cavity.
 
@@ -194,8 +174,16 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     if gamma <= 0 or gamma3 <= 0:
         raise ValueError("a driven cavity needs gamma > 0 and gamma3 > 0 for a steady state")
 
-    roots = np.roots(_cubic_coeffs(params.kappa, gamma, gamma3, eps))
-    a3 = _closed_form_root(params.kappa, gamma, gamma3, eps)
+    coeffs = _cubic_coeffs(params.kappa, gamma, gamma3, eps)
+    roots = np.roots(coeffs)
+    # The complex pair has real part above gamma/kappa > 0 (the roots sum
+    # to 2 gamma/kappa), so the physical root has the smallest real part.
+    a3 = float(roots[np.argmin(roots.real)].real)
+    c3, c2, c1, c0 = coeffs
+    for _ in range(4):  # Newton polish against the eigenvalue rounding
+        f = ((c3 * a3 + c2) * a3 + c1) * a3 + c0
+        fp = (3 * c3 * a3 + 2 * c2) * a3 + c1
+        a3 -= f / fp
     alpha = eps / (gamma - params.kappa * a3)
     residual = residual_norm(params, alpha, alpha, a3)
     if not residual < RESIDUAL_TOL or not a3 <= 0:
@@ -239,11 +227,11 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
         return float(np.max(np.abs(v)))
 
     n_iter = 0
-    res = max_abs(classical_rhs(params, x))
+    F = classical_rhs(params, x)
+    res = max_abs(F)
     while n_iter < MAX_ITERATIONS:
         if res < 1e-12:
             break
-        F = classical_rhs(params, x)
         A = drift_matrix_raw(params.kappa, g1, g2, g3, x)
         try:
             step = np.linalg.solve(-A, -F)
@@ -255,10 +243,11 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
             accepted = False
             for _ in range(60):
                 trial = x + lam * step
-                trial_res = max_abs(classical_rhs(params, trial))
+                trial_F = classical_rhs(params, trial)
+                trial_res = max_abs(trial_F)
                 n_iter += 1
                 if trial_res < res:
-                    x, res = trial, trial_res
+                    x, F, res = trial, trial_F, trial_res
                     accepted = True
                     break
                 lam *= 0.5
@@ -280,7 +269,8 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
             dtype=complex,
         )
         x = 0.9 * x + 0.1 * upd
-        res = max_abs(classical_rhs(params, x))
+        F = classical_rhs(params, x)
+        res = max_abs(F)
         n_iter += 1
 
     residual = residual_norm(params, x[0], x[2], x[4])

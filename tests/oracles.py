@@ -3,9 +3,9 @@
 Everything here reimplements the target quantity through a different
 route than the library: damped fixed-point iteration and scipy root
 finding for steady states, a per-trajectory scalar integrator for the
-ensemble engine, periodogram averaging of a directly simulated linear
-SDE for the spectral formula, and Wick closure for Gaussian moment
-closed forms.
+ensemble engine, a per-frequency loop for the batched spectral sweep,
+periodogram averaging of a directly simulated linear SDE for the
+spectral formula, and Wick closure for Gaussian moment closed forms.
 """
 
 import numpy as np
@@ -59,6 +59,21 @@ def newton_symmetric(kappa, gamma, gamma3, eps, seed=0, n_starts=20):
                 best = (a, a3, max(map(abs, eqs([a, a3]))))
     assert best is not None, "oracle found no physical root"
     return best[0], best[1]
+
+
+def symmetric_root_brentq(kappa, gamma, gamma3, eps):
+    """Physical root a3 of the symmetric cubic by bracketing, to rounding.
+
+    f(a3) = gamma3 a3 (kappa a3 - gamma)^2 + kappa eps^2 is positive at 0
+    and negative below -(eps^2/(gamma3 kappa))^(1/3), with one sign change
+    on a3 <= 0.
+    """
+
+    def f(a3):
+        return gamma3 * a3 * (kappa * a3 - gamma) ** 2 + kappa * eps**2
+
+    lo = -1.01 * (eps**2 / (gamma3 * kappa)) ** (1.0 / 3.0)
+    return scipy.optimize.brentq(f, lo, 0.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
 def newton_general(kappa, g1, g2, g3, e1, e2):
@@ -177,6 +192,34 @@ def scalar_reference_batch_means(states, n_batches):
         means[counts > 0] = sums / counts[counts > 0].reshape((-1,) + (1,) * (arr.ndim - 1))
         out[name] = means
     return out, counts
+
+
+# ---------------------------------------------------------------------------
+# spectral sweep, one frequency at a time
+
+
+def spectrum_by_frequency(params, ss, omegas):
+    """The spectral sweep as a per-frequency loop of 6x6 solves.
+
+    Same arithmetic as the batched ``sfgsim.spectrum``, one frequency at a
+    time; returns (intracavity, output, max_asymmetry, max_imag_residue).
+    """
+    from sfgsim import spectra
+
+    A = spectra.drift_matrix(params, ss)
+    D = spectra.diffusion_product(params, ss)
+    eye = np.eye(6)
+    intracavity = np.empty((len(omegas), 6, 6), dtype=complex)
+    output = np.empty((len(omegas), 6, 6))
+    asym = imag = 0.0
+    for i, w in enumerate(omegas):
+        left = np.linalg.solve(A + 1j * w * eye, D)
+        S = np.linalg.solve(A - 1j * w * eye, left.T).T
+        intracavity[i] = S
+        output[i] = spectra.output_spectra(params, S)
+        a, im = spectra._quadrature_residues(S)
+        asym, imag = max(asym, a), max(imag, im)
+    return intracavity, output, asym, imag
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Configuration parsing, presets and the command-line interface."""
 
+import dataclasses
 import json
 import os
+import string
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sfgsim import cli
-from sfgsim.config import RunConfig, parse_config, render_config
+from sfgsim import SystemParams, cli, solve_steady
+from sfgsim.config import COMMANDS, FIGURES, MODES, RunConfig, parse_config, render_config
 from sfgsim.errors import ConfigError
 from sfgsim.presets import PRESETS
 
@@ -67,6 +71,61 @@ def test_round_trip_is_identity():
         assert render_config(again) == text
 
 
+def _optional(strategy):
+    return st.none() | strategy
+
+
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    ratio_min, ratio_max = sorted(draw(st.tuples(_POSITIVE, _POSITIVE)))
+    output = st.text(string.ascii_letters + string.digits + "_-./", min_size=1).filter(
+        lambda t: t.lower() not in ("auto", "none"))
+    return RunConfig(
+        command=draw(st.sampled_from(COMMANDS)),
+        kappa=draw(_POSITIVE),
+        gamma1=draw(st.floats(0, 1e300)), gamma2=draw(st.floats(0, 1e300)),
+        gamma3=draw(st.floats(0, 1e300)),
+        eps1=draw(_COMPLEX), eps2=draw(_COMPLEX),
+        mode=draw(st.sampled_from(MODES)),
+        dt=draw(_optional(_POSITIVE)), t_max=draw(_optional(_POSITIVE)),
+        sample_stride=draw(st.integers(1, 10**9)),
+        n_traj=draw(_optional(st.integers(2, 10**12))),
+        seed=draw(_optional(st.integers(0, 2**64 - 1))),
+        alpha1_0=draw(_COMPLEX), alpha2_0=draw(_COMPLEX), alpha3_0=draw(_COMPLEX),
+        omega_min=draw(_optional(_FINITE)), omega_max=draw(_optional(_FINITE)),
+        n_omega=draw(st.integers(2, 10**9)),
+        ratio_min=ratio_min, ratio_max=ratio_max,
+        n_ratio=draw(st.integers(1, 10**9)),
+        eps_max=draw(_optional(_POSITIVE)),
+        reproduce=draw(_optional(st.sampled_from(FIGURES))),
+        output=draw(_optional(output)),
+        threads=draw(_optional(st.integers(1, 1024))),
+    ).validate()
+
+
+@settings(deadline=None)
+@given(run_configs())
+def test_round_trip_property(cfg):
+    text = render_config(cfg)
+    assert parse_config(text) == cfg
+    assert render_config(parse_config(text)) == text
+
+
+def test_validate_rejects_non_finite_values():
+    numeric = [f.name for f in dataclasses.fields(RunConfig)
+               if f.type in (float, complex, float | None)]
+    assert len(numeric) == 16
+    for name in numeric:
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} is finite"):
+                RunConfig(**{name: bad}).validate()
+
+
 def test_preset_parameter_fidelity():
     # literal table of the bound scenario parameters
     assert PRESETS["fig7"].parameters["run"] == {
@@ -88,6 +147,81 @@ def test_preset_parameter_fidelity():
                                "gamma3": 10.0, "eps1": float(eps), "eps2": float(eps)}
     assert PRESETS["fig1"].default_n_traj == 100_000
     assert PRESETS["fig8"].default_n_traj == 10_000
+
+
+def test_presets_run_their_own_tables():
+    fig7 = PRESETS["fig7"]
+    for run in (fig7.parameters["run"], {**fig7.parameters["run"], "eps2": 2000.0}):
+        res = dataclasses.replace(fig7, parameters={"run": run}).run()
+        ss = solve_steady(SystemParams(**run))
+        assert res.metadata["steady_state"] == [ss.alpha1, ss.alpha2, ss.alpha3]
+    fig4 = PRESETS["fig4"]
+    two = {k: fig4.parameters[k] for k in ("eps=200", "eps=600")}
+    res = dataclasses.replace(fig4, parameters=two).run()
+    assert list(res.columns) == ["omega", "vx3_eps200", "vx3_eps600"]
+    assert res.metadata["minima"]["600"] == res.columns["vx3_eps600"].min()
+
+
+# option strings of each subcommand, frozen from the hand-written parser
+# the generated one replaced
+FROZEN_OPTIONS = {
+    "steady": [],
+    "stability-map": ["--ratio-min", "--ratio-max", "--n-ratio", "--eps-max"],
+    "spectrum": ["--omega-min", "--omega-max", "--n-omega"],
+    "simulate": ["--dt", "--t-max", "--sample-stride", "--n-traj", "--seed",
+                 "--alpha1-0", "--alpha2-0", "--alpha3-0", "--mode"],
+    "reproduce": ["--n-traj", "--seed", "--plot-script"],
+}
+FROZEN_COMMON = ["-h", "--help", "--config", "--kappa", "--gamma1", "--gamma2",
+                 "--gamma3", "--eps1", "--eps2", "--output", "--threads"]
+
+
+def test_subcommand_option_strings_are_frozen():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert list(subparsers.choices) == list(FROZEN_OPTIONS)
+    for command, sub in subparsers.choices.items():
+        options = [o for a in sub._actions for o in a.option_strings]
+        assert options == FROZEN_COMMON + FROZEN_OPTIONS[command], command
+        positionals = [a.dest for a in sub._actions if not a.option_strings]
+        assert positionals == (["figure"] if command == "reproduce" else [])
+    mode = next(a for a in subparsers.choices["simulate"]._actions if a.dest == "mode")
+    assert mode.choices == ("tw", "cavity")
+
+
+def test_flags_parse_like_config_keys():
+    text = {"eps1": "400 + 3j", "dt": "auto", "n_traj": "64", "mode": "tw",
+            "output": "run", "alpha1_0": "1e3-2j", "sample_stride": "5"}
+    args = cli.build_parser().parse_args(
+        ["simulate"] + [a for k, v in text.items() for a in ("--" + k.replace("_", "-"), v)])
+    cfg = parse_config("".join(f"{k}={v}\n" for k, v in text.items()))
+    for key in text:
+        assert getattr(args, key) == getattr(cfg, key), key
+        assert type(getattr(args, key)) is type(getattr(cfg, key)), key
+    # an explicit `auto` flag overrides a value read from the file
+    args = cli.build_parser().parse_args(["simulate", "--dt", "auto"])
+    assert args.dt is None
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    (["steady", "--eps1", "nan", "--eps2", "nan"], {}, "eps1 is finite"),
+    (["steady", "--kappa", "inf"], {}, "kappa is finite"),
+    (["steady", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], {}, "loss rates"),
+    (["spectrum", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], {}, "loss rates"),
+    (["steady", "--config", "missing.cfg"], {}, "missing.cfg"),
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "nodir/x"], {}, "nodir/x"),
+    (["simulate", "--mode", "tw", "--n-traj", "4", "--t-max", "0.01"], {}, "initial a1"),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01"], {"SFGSIM_THREADS": "abc"},
+     "SFGSIM_THREADS"),
+], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
+        "missing-config", "output-dir-missing", "tw-zero-a1", "threads-env"])
+def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
 
 
 def run_cli(args, cwd):
@@ -184,6 +318,8 @@ def test_cli_reproduce_trajectory_preset_small(tmp_path):
     assert r.returncode == 0, r.stderr
     meta = json.loads((tmp_path / "f8.json").read_text())
     assert meta["metadata"]["n_traj"] == 400
+    ss = solve_steady(SystemParams(**PRESETS["fig8"].parameters["run"]))
+    assert meta["metadata"]["fixed_point_n"] == list(ss.intensities)
     header = (tmp_path / "f8.csv").read_text().splitlines()[0]
     assert "semiclassical_n3" in header
 

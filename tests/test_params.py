@@ -44,3 +44,13 @@ def test_symmetric_accessors_raise_on_asymmetric():
 def test_pumps_coerced_to_complex():
     p = SystemParams(0.01, 1.0, 1.0, 10.0, 400, 400)
     assert isinstance(p.eps1, complex) and isinstance(p.eps2, complex)
+
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("kappa", float("inf")), ("gamma1", float("nan")), ("gamma2", float("inf")),
+    ("gamma3", float("nan")), ("eps1", complex(1.0, float("inf"))), ("eps2", float("nan")),
+])
+def test_rates_and_pumps_must_be_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{"kappa": 0.01, name: bad})

@@ -221,3 +221,23 @@ def test_spectral_formula_against_simulated_linear_sde():
         err = np.abs(S - S_est)
         tol = 3.0 * S_se + 1e-4
         assert np.all(err <= tol), (w, np.max(err / np.maximum(S_se, 1e-12)))
+
+
+@pytest.mark.parametrize("run", [
+    {"kappa": 0.01, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 10.0,
+     "eps1": 600.0, "eps2": 600.0},                                   # fig4
+    {"kappa": 0.01, "gamma1": 1.0, "gamma2": 40.0, "gamma3": 2.0,
+     "eps1": 400.0, "eps2": 2400.0},                                  # fig7
+])
+def test_batched_sweep_equals_per_frequency_loop(run):
+    p = sf.SystemParams(**run)
+    res = sf.spectrum(p)
+    intracavity, output, asym, imag = oracles.spectrum_by_frequency(
+        p, res.steady_state, res.omega)
+    assert np.array_equal(res.intracavity, intracavity)
+    assert np.array_equal(res.output, output)
+    assert res.max_asymmetry == asym and res.max_imag_residue == imag
+    # a scalar frequency gives the matching single matrix
+    A = sf.drift_matrix(p, res.steady_state)
+    D = sf.diffusion_product(p, res.steady_state)
+    assert np.array_equal(sf.intracavity_spectrum(A, D, res.omega[3]), intracavity[3])

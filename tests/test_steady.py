@@ -143,3 +143,22 @@ def test_internal_inconsistency_error_carries_candidates():
     with pytest.raises(SteadyStateError) as err:
         raise SteadyStateError("forced", candidates=(1j, 2j))
     assert err.value.candidates == (1j, 2j)
+
+
+def test_symmetric_root_matches_brentq_oracle():
+    # drives from far below to far above critical; above critical the
+    # point is unstable but still the unique physical fixed point.  The
+    # rates stay near the figures' kappa=0.01, gamma=1, gamma3=10: beyond
+    # pumps of about 1e6 the absolute RESIDUAL_TOL rejects even a root
+    # correct to rounding.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        kappa = 10 ** rng.uniform(-2, 0)
+        gamma = 10 ** rng.uniform(-0.3, 0.3)
+        gamma3 = 10 ** rng.uniform(0, 1.3)
+        eps_c = 2 * gamma * np.sqrt(gamma * gamma3) / kappa
+        eps = eps_c * 10 ** rng.uniform(-3, 2)
+        ss = sf.solve_steady_symmetric(sf.SystemParams.symmetric(kappa, gamma, gamma3, eps))
+        a3 = oracles.symmetric_root_brentq(kappa, gamma, gamma3, eps)
+        assert ss.alpha3.real == pytest.approx(a3, rel=1e-13, abs=0)
+        assert ss.alpha1.real == pytest.approx(eps / (gamma - kappa * a3), rel=1e-13, abs=0)
