@@ -22,7 +22,6 @@ and checked like the ``threads`` key.
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -100,7 +99,7 @@ def build_parser():
 
 
 def _merge_config(args):
-    """File values first, then explicit flags, then SFGSIM_THREADS if unset."""
+    """File values first, then explicit flags."""
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = cfgmod.parse_config(fh.read())
@@ -112,12 +111,6 @@ def _merge_config(args):
             setattr(cfg, key, getattr(args, key))
     if args.command == "reproduce":
         cfg.reproduce = args.figure
-    env_threads = os.environ.get("SFGSIM_THREADS")
-    if cfg.threads is None and env_threads is not None:
-        try:
-            cfg.threads = cfgmod._parse_value("threads", env_threads)
-        except ConfigError as exc:
-            raise ConfigError(f"SFGSIM_THREADS: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -356,7 +349,7 @@ def main(argv=None):
     except EnsembleQualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENSEMBLE
-    except (SfgsimError, ValueError, OSError) as exc:
+    except (SfgsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,6 +5,13 @@ class SfgsimError(Exception):
     """Base class for all errors raised by sfgsim."""
 
 
+class ParameterError(SfgsimError, ValueError):
+    """Parameters violate a documented precondition of a model or solver.
+
+    Also a ValueError, so callers that catch that keep working.
+    """
+
+
 class SteadyStateError(SfgsimError):
     """A steady-state solution failed its residual verification.
 

@@ -10,6 +10,8 @@ travelling-wave interaction.
 import cmath
 from dataclasses import dataclass, fields
 
+from .errors import ParameterError
+
 # Relative tolerance used when deciding whether the two low-frequency
 # modes are driven and damped symmetrically.
 SYMMETRY_RTOL = 1e-12
@@ -45,15 +47,15 @@ class SystemParams:
 
     def __post_init__(self):
         if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+            raise ParameterError(f"kappa must be > 0, got {self.kappa}")
         for name in ("gamma1", "gamma2", "gamma3"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "eps1", complex(self.eps1))
         object.__setattr__(self, "eps2", complex(self.eps2))
         for f in fields(self):
             if not cmath.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     @property
     def gammas(self):
@@ -76,13 +78,13 @@ class SystemParams:
     def symmetric_gamma(self):
         """Common low-frequency loss rate; raises when the case is asymmetric."""
         if not self.is_symmetric:
-            raise ValueError("parameters are not symmetric (gamma1 != gamma2 or eps1 != eps2)")
+            raise ParameterError("parameters are not symmetric (gamma1 != gamma2 or eps1 != eps2)")
         return self.gamma1
 
     def symmetric_eps(self):
         """Common pump amplitude; raises when the case is asymmetric."""
         if not self.is_symmetric:
-            raise ValueError("parameters are not symmetric (gamma1 != gamma2 or eps1 != eps2)")
+            raise ParameterError("parameters are not symmetric (gamma1 != gamma2 or eps1 != eps2)")
         return self.eps1
 
     @classmethod

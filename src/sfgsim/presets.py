@@ -73,12 +73,12 @@ def _tw_config(n_traj, seed):
     )
 
 
-def travelling_wave_ensemble(n_traj=None, seed=None, threads=None):
+def travelling_wave_ensemble(n_traj, seed=None, threads=None):
     """The shared travelling-wave ensemble behind fig1/fig2/fig3."""
     params = SystemParams.travelling_wave(_TW_PARAMS["kappa"])
     init = trajectories.PhaseSpacePoint.coherent(
         _TW_PARAMS["alpha1_0"], _TW_PARAMS["alpha2_0"], _TW_PARAMS["alpha3_0"])
-    cfg = _tw_config(n_traj or TW_N_TRAJ, TW_SEED if seed is None else seed)
+    cfg = _tw_config(n_traj, TW_SEED if seed is None else seed)
     return trajectories.run_ensemble(params, init, cfg, threads=threads)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SteadyStateError
+from .errors import ConvergenceError, ParameterError, SteadyStateError
 from .params import SystemParams
 from .spectra import STABILITY_TOL, drift_matrix, drift_matrix_raw
 
@@ -161,10 +161,10 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     fixed-point equations.
     """
     if not params.is_symmetric:
-        raise ValueError("solve_steady_symmetric requires symmetric parameters")
+        raise ParameterError("solve_steady_symmetric requires symmetric parameters")
     eps_c = params.symmetric_eps()
     if eps_c.imag != 0 or eps_c.real < 0:
-        raise ValueError("closed-form solution requires a real nonnegative pump")
+        raise ParameterError("closed-form solution requires a real nonnegative pump")
     eps = eps_c.real
     gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
@@ -172,7 +172,7 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     if eps == 0.0:
         return SteadyStateSolution(0j, 0j, 0j, 0.0, "closed-form-symmetric", (0j,))
     if gamma <= 0 or gamma3 <= 0:
-        raise ValueError("a driven cavity needs gamma > 0 and gamma3 > 0 for a steady state")
+        raise ParameterError("a driven cavity needs gamma > 0 and gamma3 > 0 for a steady state")
 
     coeffs = _cubic_coeffs(params.kappa, gamma, gamma3, eps)
     roots = np.roots(coeffs)
@@ -206,7 +206,7 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     """
     g1, g2, g3 = params.gammas
     if min(g1, g2, g3) <= 0:
-        raise ValueError("solve_steady_general requires all loss rates > 0")
+        raise ParameterError("solve_steady_general requires all loss rates > 0")
 
     if params.eps1 == 0 and params.eps2 == 0:
         return SteadyStateSolution(0j, 0j, 0j, 0.0, "numeric-general")
@@ -299,9 +299,9 @@ def eigenvalues_symmetric(params: SystemParams, ss: SteadyStateSolution):
     branch that crosses zero at the critical drive.
     """
     if not params.is_symmetric:
-        raise ValueError("eigenvalues_symmetric requires symmetric parameters")
+        raise ParameterError("eigenvalues_symmetric requires symmetric parameters")
     if abs(np.imag(ss.alpha1)) > 1e-9 or abs(np.imag(ss.alpha3)) > 1e-9:
-        raise ValueError("eigenvalues_symmetric requires a real steady state")
+        raise ParameterError("eigenvalues_symmetric requires a real steady state")
     gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
     k = params.kappa
@@ -342,11 +342,11 @@ def critical_point(params: SystemParams) -> CriticalPoint:
     expression and is rejected.
     """
     if not params.is_symmetric:
-        raise ValueError("critical_point is defined for symmetric driving only")
+        raise ParameterError("critical_point is defined for symmetric driving only")
     gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
     if gamma <= 0 or gamma3 <= 0:
-        raise ValueError("critical_point requires gamma > 0 and gamma3 > 0")
+        raise ParameterError("critical_point requires gamma > 0 and gamma3 > 0")
     eps_c = 2.0 * gamma * np.sqrt(gamma * gamma3) / params.kappa
     return CriticalPoint(
         alpha_c=eps_c / (2.0 * gamma),
@@ -377,10 +377,10 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     """
     ratios = np.asarray(gamma3_over_gamma, dtype=float)
     if ratios.size == 0 or np.any(np.diff(ratios) <= 0):
-        raise ValueError("gamma3_over_gamma must be a nonempty increasing grid")
+        raise ParameterError("gamma3_over_gamma must be a nonempty increasing grid")
     eps_lo, eps_hi = float(epsilon_range[0]), float(epsilon_range[1])
     if not 0 <= eps_lo < eps_hi:
-        raise ValueError("epsilon_range must satisfy 0 <= lo < hi")
+        raise ParameterError("epsilon_range must satisfy 0 <= lo < hi")
 
     rows = []
     for ratio in ratios:

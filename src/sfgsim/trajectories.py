@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnsembleQualityError
+from .config import _parse_value
+from .errors import ConfigError, EnsembleQualityError, ParameterError
 from .noise import draw_block, trajectory_generator
 from .params import SystemParams
 
@@ -110,19 +111,19 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+            raise ParameterError("dt must be > 0")
         if not self.t_max >= self.dt:
-            raise ValueError("t_max must cover at least one step")
+            raise ParameterError("t_max must cover at least one step")
         if self.n_traj < 2:
-            raise ValueError("n_traj must be >= 2 so variances are estimable")
+            raise ParameterError("n_traj must be >= 2 so variances are estimable")
         if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+            raise ParameterError("sample_stride must be >= 1")
         if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+            raise ParameterError(f"mode must be one of {_MODES}")
         if self.n_batches < 2:
-            raise ValueError("n_batches must be >= 2")
+            raise ParameterError("n_batches must be >= 2")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ParameterError("seed must fit in 64 bits")
 
     @property
     def n_steps(self):
@@ -273,12 +274,12 @@ def _raw_dt(params, init, cfg):
     """Integration step in raw time, converting from scaled units if needed."""
     if cfg.mode == "travelling-wave":
         if not params.is_travelling_wave:
-            raise ValueError(
+            raise ParameterError(
                 "travelling-wave runs require zero loss rates and pumps"
             )
         scale = params.kappa * abs(init.a1)
         if scale <= 0:
-            raise ValueError(
+            raise ParameterError(
                 "travelling-wave time scaling needs a nonzero initial a1"
             )
         return cfg.dt / scale
@@ -396,13 +397,22 @@ def run_ensemble(params, init, cfg, threads=None):
     identical for any chunking and any thread count.  Diverged
     trajectories are excluded from every average and counted; more than
     MAX_DIVERGED_FRACTION of them raises EnsembleQualityError, since
-    divergence signals a configuration fault.
+    divergence signals a configuration fault.  ``threads=None`` takes
+    SFGSIM_THREADS (default 1), parsed and checked like the ``threads``
+    configuration key.
     """
     if threads is None:
-        threads = int(os.environ.get("SFGSIM_THREADS", "1"))
+        text = os.environ.get("SFGSIM_THREADS", "1")
+        try:
+            threads = _parse_value("threads", text)
+        except ConfigError as exc:
+            raise ConfigError(f"SFGSIM_THREADS: {exc}") from None
+        if threads is None or threads < 1:
+            raise ConfigError(
+                f"SFGSIM_THREADS: invariant violated: threads >= 1 (got {text!r})")
     dt_raw = _raw_dt(params, init, cfg)
     if not init.is_finite:
-        raise ValueError("initial state must be finite")
+        raise ParameterError("initial state must be finite")
 
     B = cfg.n_batches
     S = cfg.n_samples

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfgsim import SystemParams, cli, solve_steady
+from sfgsim import SystemParams, cli, solve_steady, steady
 from sfgsim.config import COMMANDS, FIGURES, MODES, RunConfig, parse_config, render_config
 from sfgsim.errors import ConfigError
 from sfgsim.presets import PRESETS
@@ -222,6 +222,16 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
+
+
+def test_cli_leaves_unexpected_value_errors_to_surface(tmp_path, monkeypatch):
+    def broken(params):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(steady, "solve_steady", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main(["steady", "--eps1", "200", "--eps2", "200"])
 
 
 def run_cli(args, cwd):

@@ -1,6 +1,7 @@
 import pytest
 
-from sfgsim import SystemParams
+from sfgsim import SfgsimError, SystemParams
+from sfgsim.errors import ParameterError
 
 
 def test_kappa_must_be_positive():
@@ -54,3 +55,9 @@ def test_pumps_coerced_to_complex():
 def test_rates_and_pumps_must_be_finite(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SystemParams(**{"kappa": 0.01, name: bad})
+
+
+def test_precondition_errors_are_sfgsim_and_value_errors():
+    with pytest.raises(ParameterError) as err:
+        SystemParams(kappa=0.0)
+    assert isinstance(err.value, SfgsimError) and isinstance(err.value, ValueError)

@@ -165,6 +165,22 @@ def test_travelling_wave_scaling_validation():
                         tw_config())  # lossy params in tw mode
 
 
+@pytest.mark.parametrize("value", ["abc", "", "-3", "0", "auto"])
+def test_threads_environment_is_validated(value, monkeypatch):
+    monkeypatch.setenv("SFGSIM_THREADS", value)
+    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+    with pytest.raises(sf.ConfigError, match="SFGSIM_THREADS"):
+        sf.run_ensemble(TW, init, tw_config(n_traj=4))
+
+
+def test_threads_environment_sets_the_default(monkeypatch):
+    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+    cfg = tw_config(n_traj=128)
+    serial = sf.run_ensemble(TW, init, cfg, threads=1)
+    monkeypatch.setenv("SFGSIM_THREADS", " 3 ")
+    assert np.array_equal(sf.run_ensemble(TW, init, cfg).aa, serial.aa)
+
+
 def test_semiclassical_decay_without_drive():
     # amplitudes small enough that the quadratic couplings are negligible
     # (they enter a3 through a slower-decaying source term)
