@@ -22,11 +22,12 @@ and checked like the ``threads`` key.
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import SystemParams, __version__
 from . import correlations as corr
 from . import config as cfgmod
 from . import presets as presetsmod
@@ -99,7 +100,7 @@ def build_parser():
 
 
 def _merge_config(args):
-    """File values first, then explicit flags."""
+    """File values first, then explicit flags; checks the output directory."""
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = cfgmod.parse_config(fh.read())
@@ -112,6 +113,9 @@ def _merge_config(args):
     if args.command == "reproduce":
         cfg.reproduce = args.figure
     cfg.validate()
+    directory = os.path.dirname(cfg.output or "") or "."  # fail before the work
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"output prefix {cfg.output!r}: cannot write to {directory!r}")
     return cfg
 
 
@@ -190,7 +194,8 @@ def _cmd_stability_map(cfg):
     if abs(cfg.gamma1 - cfg.gamma2) > 1e-12 * max(cfg.gamma1, cfg.gamma2):
         raise ConfigError("stability-map requires gamma1 == gamma2")
     ratios = np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.n_ratio)
-    closed_top = 2 * cfg.gamma1 * np.sqrt(cfg.gamma1 * cfg.ratio_max * cfg.gamma1) / cfg.kappa
+    closed_top = steady.critical_point(SystemParams.symmetric(
+        cfg.kappa, cfg.gamma1, cfg.ratio_max * cfg.gamma1, 0.0)).epsilon_c
     eps_hi = cfg.eps_max if cfg.eps_max is not None else 2.0 * closed_top
     rows = steady.stability_map(cfg.kappa, cfg.gamma1, ratios, (0.0, eps_hi))
     columns = {

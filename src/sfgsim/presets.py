@@ -10,7 +10,6 @@ pumps, and ``fig8`` follows the above-threshold regime where the
 semiclassical prediction breaks down.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -34,7 +34,7 @@ from .errors import ConvergenceError, ParameterError, SteadyStateError
 from .params import SystemParams
 from .spectra import STABILITY_TOL, drift_matrix, drift_matrix_raw
 
-# Residual bound every returned steady state must satisfy.
+# Residual bound every returned steady state must satisfy (see _residual_bound).
 RESIDUAL_TOL = 1e-10
 
 # Newton/fixed-point iteration budget for the general solver.
@@ -47,8 +47,8 @@ class SteadyStateSolution:
 
     ``residual`` is the largest magnitude among the three fixed-point
     equations evaluated at the solution; every constructor verifies it
-    below RESIDUAL_TOL.  ``candidates`` records all cubic roots (symmetric
-    path) for inspection.
+    below RESIDUAL_TOL times max(1, largest term of those equations).
+    ``candidates`` records all cubic roots (symmetric path) for inspection.
     """
 
     alpha1: complex
@@ -117,7 +117,11 @@ class StabilityBoundary:
 
 
 def classical_rhs(params, x):
-    """Noise-free right-hand sides over the six phase-space components."""
+    """Noise-free right-hand sides over the six phase-space components.
+
+    The one copy of the classical flow: ``x`` is a state of shape (6,) or
+    a component-first block of n states (6, n); the result has its shape.
+    """
     a1, a1p, a2, a2p, a3, a3p = x
     k = params.kappa
     g1, g2, g3 = params.gammas
@@ -135,13 +139,23 @@ def classical_rhs(params, x):
 
 
 def residual_norm(params, alpha1, alpha2, alpha3):
-    """Largest magnitude among the three fixed-point equations."""
+    """Largest magnitude among the three fixed-point equations (flow rows a1, a2, a3)."""
+    F = classical_rhs(params, (alpha1, np.conj(alpha1), alpha2, np.conj(alpha2),
+                               alpha3, np.conj(alpha3)))
+    return float(max(abs(F[0]), abs(F[2]), abs(F[4])))
+
+
+def _residual_bound(params, alpha1, alpha2, alpha3):
+    """RESIDUAL_TOL times max(1, largest term of the fixed-point equations).
+
+    The residual's rounding grows with the terms it cancels, so a root
+    correct to rounding passes however large the pumps are.
+    """
     k = params.kappa
     g1, g2, g3 = params.gammas
-    r1 = params.eps1 - g1 * alpha1 + k * np.conj(alpha2) * alpha3
-    r2 = params.eps2 - g2 * alpha2 + k * np.conj(alpha1) * alpha3
-    r3 = -g3 * alpha3 - k * alpha1 * alpha2
-    return float(max(abs(r1), abs(r2), abs(r3)))
+    terms = (params.eps1, params.eps2, g1 * alpha1, g2 * alpha2, g3 * alpha3,
+             k * alpha2 * alpha3, k * alpha1 * alpha3, k * alpha1 * alpha2)
+    return RESIDUAL_TOL * max(1.0, *map(abs, terms))
 
 
 def _cubic_coeffs(kappa, gamma, gamma3, eps):
@@ -186,7 +200,7 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
         a3 -= f / fp
     alpha = eps / (gamma - params.kappa * a3)
     residual = residual_norm(params, alpha, alpha, a3)
-    if not residual < RESIDUAL_TOL or not a3 <= 0:
+    if not residual < _residual_bound(params, alpha, alpha, a3) or not a3 <= 0:
         raise SteadyStateError(
             f"closed-form root failed verification (residual {residual:.3e}, a3 {a3!r})",
             candidates=roots,
@@ -256,25 +270,14 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
             if accepted:
                 continue
         # damped fixed-point fallback: relax toward the explicit updates
-        a1, a1p, a2, a2p, a3, a3p = x
-        upd = np.array(
-            [
-                (params.eps1 + params.kappa * a2p * a3) / g1,
-                (np.conj(params.eps1) + params.kappa * a2 * a3p) / g1,
-                (params.eps2 + params.kappa * a1p * a3) / g2,
-                (np.conj(params.eps2) + params.kappa * a1 * a3p) / g2,
-                -params.kappa * a1 * a2 / g3,
-                -params.kappa * a1p * a2p / g3,
-            ],
-            dtype=complex,
-        )
-        x = 0.9 * x + 0.1 * upd
+        # x_j + F_j/gamma_j, which solve row j of the flow for its own x_j
+        x = x + 0.1 * F / np.repeat(params.gammas, 2)
         F = classical_rhs(params, x)
         res = max_abs(F)
         n_iter += 1
 
     residual = residual_norm(params, x[0], x[2], x[4])
-    if not residual < RESIDUAL_TOL:
+    if not residual < _residual_bound(params, x[0], x[2], x[4]):
         raise ConvergenceError(
             f"steady-state iteration exhausted its budget (residual {residual:.3e})",
             last_iterate=x,
@@ -385,7 +388,7 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     rows = []
     for ratio in ratios:
         p_of = lambda e: SystemParams.symmetric(kappa, gamma, ratio * gamma, e)
-        closed = 2.0 * gamma * np.sqrt(gamma * (ratio * gamma)) / kappa
+        closed = critical_point(p_of(0.0)).epsilon_c
 
         def margin(e):
             return stability(p_of(e)).margin

@@ -15,7 +15,9 @@ with w1..w4 independent standard normals per step and the principal
 complex square root.  Because the noise coefficients depend only on the
 noiseless components a3/a3+, the Ito and Stratonovich readings coincide
 and a semi-implicit midpoint step integrates the drift at second order
-with no interpretation bias.
+with no interpretation bias.  The drift is ``steady.classical_rhs``, the
+steady-state solver's flow; to share it, a block of n trajectories is
+held component-first, as a (6, n) array.
 
 Ensemble averages of products of these variables converge to
 normally-ordered operator moments.  Trajectories are grouped into a fixed
@@ -35,6 +37,7 @@ from .config import _parse_value
 from .errors import ConfigError, EnsembleQualityError, ParameterError
 from .noise import draw_block, trajectory_generator
 from .params import SystemParams
+from .steady import classical_rhs
 
 # Any amplitude beyond this magnitude flags the trajectory as diverged;
 # roughly 1e5 times the largest physical amplitude of interest here.
@@ -218,25 +221,11 @@ class MomentTable:
         return value, np.real(se)
 
 
-def _drift(params, s):
-    """Drift over a block of states, shape (n, 6) complex."""
-    k = params.kappa
-    g1, g2, g3 = params.gammas
-    a1, a1p, a2, a2p, a3, a3p = (s[:, i] for i in range(6))
-    out = np.empty_like(s)
-    out[:, 0] = params.eps1 - g1 * a1 + k * a2p * a3
-    out[:, 1] = np.conj(params.eps1) - g1 * a1p + k * a2 * a3p
-    out[:, 2] = params.eps2 - g2 * a2 + k * a1p * a3
-    out[:, 3] = np.conj(params.eps2) - g2 * a2p + k * a1 * a3p
-    out[:, 4] = -g3 * a3 - k * a1 * a2
-    out[:, 5] = -g3 * a3p - k * a1p * a2p
-    return out
-
-
 def _advance(params, s, dt, w):
     """One semi-implicit midpoint step for a block of trajectories.
 
-    ``w`` holds four standard normals per trajectory, shape (n, 4); pass
+    ``s`` is the component-first state block, shape (6, n) complex, and
+    ``w`` holds four standard normals per trajectory, shape (4, n); pass
     zeros for the deterministic flow.  Three fixed-point iterations locate
     the drift midpoint m, the step completes as 2m - s (second-order
     deterministic part), and the noise amplitudes are evaluated at m; no
@@ -246,15 +235,15 @@ def _advance(params, s, dt, w):
     half = 0.5 * dt
     m = s
     for _ in range(MIDPOINT_ITERATIONS):
-        m = s + half * _drift(params, m)
+        m = s + half * classical_rhs(params, m)
     new = 2.0 * m - s
     root = np.sqrt(dt)
-    s3 = np.sqrt(0.5 * params.kappa * m[:, 4])
-    s3p = np.sqrt(0.5 * params.kappa * m[:, 5])
-    new[:, 0] += root * s3 * (w[:, 0] + 1j * w[:, 2])
-    new[:, 1] += root * s3p * (w[:, 1] + 1j * w[:, 3])
-    new[:, 2] += root * s3 * (w[:, 0] - 1j * w[:, 2])
-    new[:, 3] += root * s3p * (w[:, 1] - 1j * w[:, 3])
+    s3 = np.sqrt(0.5 * params.kappa * m[4])
+    s3p = np.sqrt(0.5 * params.kappa * m[5])
+    new[0] += root * s3 * (w[0] + 1j * w[2])
+    new[1] += root * s3p * (w[1] + 1j * w[3])
+    new[2] += root * s3 * (w[0] - 1j * w[2])
+    new[3] += root * s3p * (w[1] - 1j * w[3])
     return new
 
 
@@ -264,9 +253,9 @@ def step(params, state, dt, noise):
     Divergence is the caller's concern: check ``is_finite`` on the result
     (run_ensemble guards whole blocks at sample times).
     """
-    s = state.as_array().reshape(1, 6).astype(complex)
-    w = np.asarray(noise, dtype=float).reshape(1, 4)
-    out = _advance(params, s, dt, w)[0]
+    s = state.as_array().reshape(6, 1)
+    w = np.asarray(noise, dtype=float).reshape(4, 1)
+    out = _advance(params, s, dt, w)[:, 0]
     return PhaseSpacePoint(*out)
 
 
@@ -287,11 +276,9 @@ def _raw_dt(params, init, cfg):
 
 
 def _alive_mask(s):
-    """Finite and inside the divergence guard, per trajectory."""
-    finite = np.all(np.isfinite(s.view(float).reshape(s.shape[0], -1)), axis=1)
+    """Per trajectory (column): inside the guard, hence finite (NaN compares false)."""
     with np.errstate(invalid="ignore"):
-        small = np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=1)
-    return finite & small
+        return np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=0)
 
 
 def _batch_bounds(n_traj, n_batches):
@@ -320,7 +307,8 @@ class _ChunkSums:
 def accumulate_sample(sums, rec, s, segments, keep=None):
     """Add one sample's moment products to per-batch sums.
 
-    ``s`` is the (n, 6) state block, ``segments`` the batch start offsets
+    ``s`` is the (n, 6) state block (the ensemble passes the transpose of
+    its component-first state), ``segments`` the batch start offsets
     within the block (np.add.reduceat layout), ``keep`` an optional
     boolean mask that removes diverged trajectories (their states may be
     non-finite, so they are replaced by zeros rather than weighted).
@@ -367,9 +355,9 @@ def _run_chunk(params, init, cfg, dt_raw, lo, hi, segments):
 
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     n = hi - lo
-    s = np.tile(init.as_array(), (n, 1))
+    s = np.repeat(init.as_array()[:, None], n, axis=1)
     alive = np.ones(n, dtype=bool)
-    accumulate_sample(sums, 0, s, segments, keep)
+    accumulate_sample(sums, 0, s.T, segments, keep)
     gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
 
     n_steps, stride = cfg.n_steps, cfg.sample_stride
@@ -379,11 +367,11 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
             todo = min(NOISE_STEP_CHUNK, n_steps - done)
             noise = draw_block(gens, todo)
             for k in range(todo):
-                s = _advance(params, s, dt_raw, noise[:, k, :])
+                s = _advance(params, s, dt_raw, noise[:, k, :].T)
                 done += 1
                 if done % stride == 0 and rec < cfg.n_samples:
                     alive &= _alive_mask(s)
-                    accumulate_sample(sums, rec, s, segments, keep)
+                    accumulate_sample(sums, rec, s.T, segments, keep)
                     rec += 1
     return alive
 
@@ -490,10 +478,10 @@ def semiclassical_trajectory(params, init, cfg):
     ``(times, states)`` with states of shape (S, 6).
     """
     dt_raw = _raw_dt(params, init, cfg)
-    s = init.as_array().reshape(1, 6)
-    zeros = np.zeros((1, 4))
+    s = init.as_array().reshape(6, 1)
+    zeros = np.zeros((4, 1))
     states = np.empty((cfg.n_samples, 6), dtype=complex)
-    states[0] = s[0]
+    states[0] = s[:, 0]
     rec = 1
     for k in range(1, cfg.n_steps + 1):
         s = _advance(params, s, dt_raw, zeros)
@@ -502,6 +490,6 @@ def semiclassical_trajectory(params, init, cfg):
                 f"semiclassical path hit the divergence guard at step {k}"
             )
         if k % cfg.sample_stride == 0 and rec < cfg.n_samples:
-            states[rec] = s[0]
+            states[rec] = s[:, 0]
             rec += 1
     return cfg.sample_times(), states

@@ -2,10 +2,11 @@
 
 Everything here reimplements the target quantity through a different
 route than the library: damped fixed-point iteration and scipy root
-finding for steady states, a per-trajectory scalar integrator for the
-ensemble engine, a per-frequency loop for the batched spectral sweep,
-periodogram averaging of a directly simulated linear SDE for the
-spectral formula, and Wick closure for Gaussian moment closed forms.
+finding for steady states, the fixed-point equations written out for the
+residual, a per-trajectory scalar integrator for the ensemble engine, a
+per-frequency loop for the batched spectral sweep, periodogram averaging
+of a directly simulated linear SDE for the spectral formula, and Wick
+closure for Gaussian moment closed forms.
 """
 
 import numpy as np
@@ -107,6 +108,16 @@ def fixed_point_general(kappa, g1, g2, g3, e1, e2, damping=0.1, max_iter=500_000
         a2 += damping * (n2 - a2)
         a3 += damping * (n3 - a3)
     return a1, a2, a3
+
+
+def residual_three_equations(params, alpha1, alpha2, alpha3):
+    """Largest magnitude among the three fixed-point equations, written out."""
+    k = params.kappa
+    g1, g2, g3 = params.gammas
+    r1 = params.eps1 - g1 * alpha1 + k * np.conj(alpha2) * alpha3
+    r2 = params.eps2 - g2 * alpha2 + k * np.conj(alpha1) * alpha3
+    r3 = -g3 * alpha3 - k * alpha1 * alpha2
+    return float(max(abs(r1), abs(r2), abs(r3)))
 
 
 # ---------------------------------------------------------------------------

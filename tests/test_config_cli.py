@@ -209,19 +209,25 @@ def test_flags_parse_like_config_keys():
     (["spectrum", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], {}, "loss rates"),
     (["steady", "--config", "missing.cfg"], {}, "missing.cfg"),
     (["steady", "--eps1", "200", "--eps2", "200", "--output", "nodir/x"], {}, "nodir/x"),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--output", "nodir/x"], {},
+     "nodir/x"),
     (["simulate", "--mode", "tw", "--n-traj", "4", "--t-max", "0.01"], {}, "initial a1"),
     (["simulate", "--n-traj", "4", "--t-max", "0.01"], {"SFGSIM_THREADS": "abc"},
      "SFGSIM_THREADS"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
-        "missing-config", "output-dir-missing", "tw-zero-a1", "threads-env"])
+        "missing-config", "output-dir-missing", "simulate-output-dir-missing",
+        "tw-zero-a1", "threads-env"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert cli.main(argv) == cli.EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
+    out, err = capsys.readouterr()
+    err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
+    # every failure comes before any work is reported
+    assert out == ""
 
 
 def test_cli_leaves_unexpected_value_errors_to_surface(tmp_path, monkeypatch):

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfgsim import SfgsimError, SystemParams
 from sfgsim.errors import ParameterError
@@ -61,3 +65,26 @@ def test_precondition_errors_are_sfgsim_and_value_errors():
     with pytest.raises(ParameterError) as err:
         SystemParams(kappa=0.0)
     assert isinstance(err.value, SfgsimError) and isinstance(err.value, ValueError)
+
+
+# any value, finite or not, with zeros and valid values well represented
+_reals = st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                   st.floats(min_value=0.0, allow_infinity=False), st.floats())
+_pumps = st.one_of(st.just(0j), st.complex_numbers(allow_nan=False, allow_infinity=False),
+                   st.complex_numbers())
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=_reals, gamma1=_reals, gamma2=_reals, gamma3=_reals, eps1=_pumps, eps2=_pumps)
+def test_system_params_invariants(kappa, gamma1, gamma2, gamma3, eps1, eps2):
+    rates = (gamma1, gamma2, gamma3)
+    valid = (math.isfinite(kappa) and kappa > 0
+             and all(math.isfinite(g) and g >= 0 for g in rates)
+             and all(math.isfinite(e.real) and math.isfinite(e.imag) for e in (eps1, eps2)))
+    if not valid:
+        with pytest.raises(ParameterError):
+            SystemParams(kappa, gamma1, gamma2, gamma3, eps1, eps2)
+        return
+    p = SystemParams(kappa, gamma1, gamma2, gamma3, eps1, eps2)
+    assert p.gammas == rates and p.eps1 == eps1 and p.eps2 == eps2
+    assert p.is_travelling_wave == (rates == (0, 0, 0) and eps1 == 0 and eps2 == 0)

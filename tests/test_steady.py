@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
+from sfgsim import steady
 from sfgsim.errors import SteadyStateError
 
 import oracles
@@ -128,7 +129,66 @@ def test_residual_norm_contract():
     assert sf.residual_norm(p, ss.alpha1, ss.alpha2, ss.alpha3) == ss.residual
     # perturbing the solution must break the residual bound
     bad = sf.residual_norm(p, ss.alpha1 + 1e-3, ss.alpha2, ss.alpha3)
-    assert bad > 1e-10
+    assert bad > steady._residual_bound(p, ss.alpha1 + 1e-3, ss.alpha2, ss.alpha3)
+
+
+def test_residual_norm_is_the_three_equation_form():
+    # the kernel-based residual must round exactly like the equations
+    # written out, including complex pumps and asymmetric rates
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        g = 10 ** rng.uniform(-2, 2, size=3)
+        e1, e2 = (complex(*rng.normal(size=2)) * 10 ** rng.uniform(-2, 6) for _ in range(2))
+        p = sf.SystemParams(10 ** rng.uniform(-4, 0), *g, e1, e2)
+        a1, a2, a3 = (complex(*rng.normal(size=2)) * 10 ** rng.uniform(-2, 5) for _ in range(3))
+        assert sf.residual_norm(p, a1, a2, a3) == oracles.residual_three_equations(p, a1, a2, a3)
+
+
+def test_classical_rhs_block_equals_columns():
+    # one kernel serves a component-first block (6, n) and a single state;
+    # a (6, 1) column runs the same array arithmetic and matches bit for
+    # bit, a (6,) state goes through numpy's scalar complex arithmetic,
+    # which may round the products differently in the last ulp
+    rng = np.random.default_rng(5)
+    p = sf.SystemParams(0.03, 0.7, 1.9, 4.0, 300 * np.exp(0.4j), 120 * np.exp(-1.1j))
+    x = rng.normal(size=(6, 37)) * 50 + 1j * rng.normal(size=(6, 37)) * 50
+    block = steady.classical_rhs(p, x)
+    assert block.shape == (6, 37)
+    columns = np.concatenate([steady.classical_rhs(p, x[:, j:j + 1]) for j in range(37)],
+                             axis=1)
+    assert np.array_equal(block, columns)
+    states = np.stack([steady.classical_rhs(p, x[:, j]) for j in range(37)], axis=1)
+    assert np.allclose(states, block, rtol=1e-14, atol=0)
+
+
+def test_large_pump_root_passes_scaled_residual_bound():
+    # the residual of a root correct to rounding grows with the size of the
+    # equation terms; here it is about 1e-9 against terms of about 1e7
+    p = sf.SystemParams.symmetric(1.3e-3, 9.79, 16.7, 7.3e6)
+    s1 = sf.solve_steady_symmetric(p)
+    s2 = sf.solve_steady_general(p)
+    a3 = oracles.symmetric_root_brentq(1.3e-3, 9.79, 16.7, 7.3e6)
+    assert s1.alpha3.real == pytest.approx(a3, rel=1e-13, abs=0)
+    assert s2.alpha3 == pytest.approx(s1.alpha3, rel=1e-12, abs=0)
+    assert s2.alpha1 == pytest.approx(s1.alpha1, rel=1e-12, abs=0)
+    assert s1.residual > steady.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("p", [
+    params(200.0),
+    sf.SystemParams(0.01, 1.0, 1.0, 10.0, 400 * np.exp(0.7j), 400 * np.exp(-0.2j)),
+], ids=["symmetric", "complex-pumps"])
+def test_damped_fallback_reaches_newton_fixed_point(p, monkeypatch):
+    newton = sf.solve_steady_general(p)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    fallback = sf.solve_steady_general(p)
+    for name in ("alpha1", "alpha2", "alpha3"):
+        want = getattr(newton, name)
+        assert abs(getattr(fallback, name) - want) <= 1e-12 * abs(want), name
 
 
 def test_phase_space_vector_conjugate_layout():
@@ -147,17 +207,14 @@ def test_internal_inconsistency_error_carries_candidates():
 
 def test_symmetric_root_matches_brentq_oracle():
     # drives from far below to far above critical; above critical the
-    # point is unstable but still the unique physical fixed point.  The
-    # rates stay near the figures' kappa=0.01, gamma=1, gamma3=10: beyond
-    # pumps of about 1e6 the absolute RESIDUAL_TOL rejects even a root
-    # correct to rounding.
+    # point is unstable but still the unique physical fixed point
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        kappa = 10 ** rng.uniform(-2, 0)
-        gamma = 10 ** rng.uniform(-0.3, 0.3)
-        gamma3 = 10 ** rng.uniform(0, 1.3)
+    for _ in range(300):
+        kappa = 10 ** rng.uniform(-4, 0)
+        gamma = 10 ** rng.uniform(-2, 2)
+        gamma3 = 10 ** rng.uniform(-2, 2)
         eps_c = 2 * gamma * np.sqrt(gamma * gamma3) / kappa
-        eps = eps_c * 10 ** rng.uniform(-3, 2)
+        eps = eps_c * 10 ** rng.uniform(-6, 2)
         ss = sf.solve_steady_symmetric(sf.SystemParams.symmetric(kappa, gamma, gamma3, eps))
         a3 = oracles.symmetric_root_brentq(kappa, gamma, gamma3, eps)
         assert ss.alpha3.real == pytest.approx(a3, rel=1e-13, abs=0)
