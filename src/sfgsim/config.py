@@ -196,12 +196,14 @@ def resolved_dt(cfg: RunConfig):
 
 
 def resolved_t_max(cfg: RunConfig):
+    """Duration default: ten slowest decay times, a whole number of steps dt."""
     if cfg.t_max is not None:
         return cfg.t_max
     if cfg.canonical_mode == "travelling-wave":
         return 8.0
     positive = [g for g in (cfg.gamma1, cfg.gamma2, cfg.gamma3) if g > 0]
-    return 10.0 / min(positive) if positive else 10.0
+    dt = resolved_dt(cfg)
+    return dt * round((10.0 / min(positive) if positive else 10.0) / dt)
 
 
 def trajectory_config(cfg: RunConfig):

@@ -19,16 +19,19 @@ def trajectory_generator(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_block(generators, n_steps):
+def draw_block(generators, n_steps, out=None):
     """Next ``n_steps`` steps of noise for a group of trajectories.
 
-    Returns shape (len(generators), n_steps, NOISES_PER_STEP).  Consuming
-    a stream in blocks of different sizes yields identical numbers, so the
-    block size is a pure performance knob.
+    Returns shape (len(generators), n_steps, NOISES_PER_STEP).  Given
+    ``out``, a C-contiguous float array of shape (len(generators), K,
+    NOISES_PER_STEP) with K >= n_steps, the steps fill its leading
+    ``n_steps`` and that view is returned, so one buffer serves a whole
+    run.  Consuming a stream in blocks of different sizes yields
+    identical numbers, so the block size is a pure performance knob.
     """
-    out = np.empty((len(generators), n_steps, NOISES_PER_STEP))
-    for i, gen in enumerate(generators):
-        out[i] = gen.standard_normal(n_steps * NOISES_PER_STEP).reshape(
-            n_steps, NOISES_PER_STEP
-        )
-    return out
+    if out is None:
+        out = np.empty((len(generators), n_steps, NOISES_PER_STEP))
+    block = out[:, :n_steps]
+    for gen, row in zip(generators, block):
+        gen.standard_normal(out=row)
+    return block

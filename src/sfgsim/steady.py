@@ -116,26 +116,27 @@ class StabilityBoundary:
     note: str = ""
 
 
-def classical_rhs(params, x):
+def classical_rhs(params, x, out=None):
     """Noise-free right-hand sides over the six phase-space components.
 
     The one copy of the classical flow: ``x`` is a state of shape (6,) or
     a component-first block of n states (6, n); the result has its shape.
+    ``out``, a complex array of that shape that does not overlap ``x``,
+    receives the rows instead of a new array (the ensemble step reuses
+    one per pass).
     """
     a1, a1p, a2, a2p, a3, a3p = x
     k = params.kappa
     g1, g2, g3 = params.gammas
-    return np.array(
-        [
-            params.eps1 - g1 * a1 + k * a2p * a3,
-            np.conj(params.eps1) - g1 * a1p + k * a2 * a3p,
-            params.eps2 - g2 * a2 + k * a1p * a3,
-            np.conj(params.eps2) - g2 * a2p + k * a1 * a3p,
-            -g3 * a3 - k * a1 * a2,
-            -g3 * a3p - k * a1p * a2p,
-        ],
-        dtype=complex,
-    )
+    if out is None:
+        out = np.empty((6,) + np.shape(a1), dtype=complex)
+    out[0] = params.eps1 - g1 * a1 + k * a2p * a3
+    out[1] = np.conj(params.eps1) - g1 * a1p + k * a2 * a3p
+    out[2] = params.eps2 - g2 * a2 + k * a1p * a3
+    out[3] = np.conj(params.eps2) - g2 * a2p + k * a1 * a3p
+    out[4] = -g3 * a3 - k * a1 * a2
+    out[5] = -g3 * a3p - k * a1p * a2p
+    return out
 
 
 def residual_norm(params, alpha1, alpha2, alpha3):
@@ -145,17 +146,22 @@ def residual_norm(params, alpha1, alpha2, alpha3):
     return float(max(abs(F[0]), abs(F[2]), abs(F[4])))
 
 
-def _residual_bound(params, alpha1, alpha2, alpha3):
-    """RESIDUAL_TOL times max(1, largest term of the fixed-point equations).
+def _term_scale(params, alpha1, alpha2, alpha3):
+    """max(1, largest term of the fixed-point equations).
 
-    The residual's rounding grows with the terms it cancels, so a root
-    correct to rounding passes however large the pumps are.
+    The residual's rounding grows with the terms it cancels, so residual
+    tests scale with this to hold however large the pumps are.
     """
     k = params.kappa
     g1, g2, g3 = params.gammas
     terms = (params.eps1, params.eps2, g1 * alpha1, g2 * alpha2, g3 * alpha3,
              k * alpha2 * alpha3, k * alpha1 * alpha3, k * alpha1 * alpha2)
-    return RESIDUAL_TOL * max(1.0, *map(abs, terms))
+    return max(1.0, *map(abs, terms))
+
+
+def _residual_bound(params, alpha1, alpha2, alpha3):
+    """RESIDUAL_TOL times ``_term_scale``: a root correct to rounding passes."""
+    return RESIDUAL_TOL * _term_scale(params, alpha1, alpha2, alpha3)
 
 
 def _cubic_coeffs(kappa, gamma, gamma3, eps):
@@ -244,7 +250,10 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     F = classical_rhs(params, x)
     res = max_abs(F)
     while n_iter < MAX_ITERATIONS:
-        if res < 1e-12:
+        # stopping tests relative to the equation terms and the iterate: a
+        # root correct to rounding leaves a few 1e-16 of the terms, and
+        # 1e-14 of them stays below the verification bound at any scale
+        if res < 1e-14 * _term_scale(params, x[0], x[2], x[4]):
             break
         A = drift_matrix_raw(params.kappa, g1, g2, g3, x)
         try:
@@ -265,7 +274,7 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
                     accepted = True
                     break
                 lam *= 0.5
-            if accepted and lam * max_abs(step) < 1e-14:
+            if accepted and lam * max_abs(step) < 1e-14 * max(1.0, max_abs(x)):
                 break
             if accepted:
                 continue

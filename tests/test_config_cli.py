@@ -214,9 +214,11 @@ def test_flags_parse_like_config_keys():
     (["simulate", "--mode", "tw", "--n-traj", "4", "--t-max", "0.01"], {}, "initial a1"),
     (["simulate", "--n-traj", "4", "--t-max", "0.01"], {"SFGSIM_THREADS": "abc"},
      "SFGSIM_THREADS"),
+    (["simulate", "--n-traj", "4", "--dt", "3e-4", "--t-max", "1e-3"], {},
+     "whole number of steps"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
-        "tw-zero-a1", "threads-env"])
+        "tw-zero-a1", "threads-env", "t-max-not-whole-steps"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -27,6 +27,20 @@ def test_block_size_does_not_change_the_stream():
     assert whole.shape == (3, 50, NOISES_PER_STEP)
 
 
+def test_reused_buffer_gives_the_fresh_stream():
+    gens = [trajectory_generator(1, i) for i in range(3)]
+    whole = draw_block(gens, 50)
+    gens = [trajectory_generator(1, i) for i in range(3)]
+    buf = np.empty((3, 30, NOISES_PER_STEP))
+    pieces = []
+    for n in (7, 13, 30):
+        block = draw_block(gens, n, out=buf)
+        assert block.shape == (3, n, NOISES_PER_STEP)
+        assert np.shares_memory(block, buf)
+        pieces.append(block.copy())
+    assert np.array_equal(whole, np.concatenate(pieces, axis=1))
+
+
 def test_moments_are_plausibly_standard_normal():
     x = trajectory_generator(5, 0).standard_normal(200_000)
     assert abs(x.mean()) < 3 / np.sqrt(x.size)

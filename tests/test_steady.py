@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
-from sfgsim import steady
+from sfgsim import presets, spectra, steady
 from sfgsim.errors import SteadyStateError
 
 import oracles
@@ -172,6 +172,42 @@ def test_large_pump_root_passes_scaled_residual_bound():
     assert s2.alpha3 == pytest.approx(s1.alpha3, rel=1e-12, abs=0)
     assert s2.alpha1 == pytest.approx(s1.alpha1, rel=1e-12, abs=0)
     assert s1.residual > steady.RESIDUAL_TOL
+
+
+def test_general_solver_stops_at_convergence_for_large_pumps(monkeypatch):
+    # the stopping tests scale with the equation terms like the residual
+    # bound; absolute tests were never met here and spent the whole budget
+    calls, rhs = [], steady.classical_rhs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(steady, "classical_rhs", counted)
+    ss = sf.solve_steady_general(sf.SystemParams.symmetric(1.3e-3, 9.79, 16.7, 7.3e6))
+    assert len(calls) <= 50
+    a3 = oracles.symmetric_root_brentq(1.3e-3, 9.79, 16.7, 7.3e6)
+    assert ss.alpha3.real == pytest.approx(a3, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+def test_general_solver_is_converged_at_figure_pumps(figure):
+    # a stop no earlier than rounding: further Newton steps and, for
+    # symmetric driving, the polished closed-form root agree to 1e-12
+    for run in presets.PRESETS[figure].parameters.values():
+        p = sf.SystemParams(**run)
+        ss = sf.solve_steady_general(p)
+        x = ss.phase_space
+        for _ in range(3):
+            A = spectra.drift_matrix_raw(p.kappa, *p.gammas, x)
+            x = x + np.linalg.solve(A, steady.classical_rhs(p, x))
+        want = [x[0], x[2], x[4]]
+        if p.is_symmetric:
+            closed = sf.solve_steady_symmetric(p)
+            want += [closed.alpha1, closed.alpha2, closed.alpha3]
+        got = [ss.alpha1, ss.alpha2, ss.alpha3] * (len(want) // 3)
+        scale = max(abs(ss.alpha1), abs(ss.alpha2), abs(ss.alpha3))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale, run
 
 
 @pytest.mark.parametrize("p", [

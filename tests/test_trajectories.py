@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
-from sfgsim.errors import EnsembleQualityError
+from sfgsim import trajectories
+from sfgsim.errors import EnsembleQualityError, ParameterError
 from sfgsim.trajectories import _batch_bounds
 
 import oracles
@@ -87,6 +88,74 @@ def test_seed_determinism_and_thread_independence():
     for other in tables[1:]:
         for name in ("a", "ap", "aa", "apap", "apa", "nn"):
             assert np.array_equal(getattr(tables[0], name), getattr(other, name))
+
+
+TABLES = ("a", "ap", "aa", "apap", "apa", "nn", "batch_valid")
+
+
+@pytest.mark.parametrize("case", ["finite", "replayed"])
+def test_chunk_width_does_not_change_results(case, monkeypatch):
+    # chunks cover whole batches and every trajectory owns its noise
+    # stream, so the tables are bit-identical for any chunk width and
+    # thread count; in the second case chunks holding a diverged
+    # trajectory are integrated again with it zero-weighted
+    if case == "finite":
+        p, init = TW, sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+        cfg = tw_config(n_traj=200, n_batches=8, t_max=0.02)
+    else:
+        monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
+        p = sf.SystemParams.travelling_wave(0.1)
+        init = sf.PhaseSpacePoint.coherent(alpha1=10.0, alpha2=10.0)
+        cfg = sf.TrajectoryConfig(dt=0.5, t_max=10.0, n_traj=48, seed=1,
+                                  sample_stride=2, mode="travelling-wave", n_batches=8)
+    batch = -(-cfg.n_traj // cfg.n_batches)
+    ref = sf.run_ensemble(p, init, cfg, threads=1)
+    if case == "replayed":
+        assert 0 < ref.n_diverged < cfg.n_batches  # some batches replay, others not
+    for width in (batch, 3 * batch, trajectories.TRAJECTORY_CHUNK, cfg.n_traj):
+        monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", width)
+        for threads in (1, 3):
+            m = sf.run_ensemble(p, init, cfg, threads=threads)
+            assert m.n_diverged == ref.n_diverged
+            for name in TABLES:
+                assert np.array_equal(getattr(m, name), getattr(ref, name),
+                                      equal_nan=True), (width, threads, name)
+
+
+def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeypatch):
+    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+    cfg = tw_config(n_traj=64, n_batches=2, t_max=6e-3, sample_stride=4)  # 12 steps
+    ref = sf.run_ensemble(TW, init, cfg)
+    budget = 32 * 5 * trajectories.NOISES_PER_STEP * 8  # five steps of one batch
+    monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", 4)
+    monkeypatch.setattr(trajectories, "NOISE_BLOCK_BYTES", budget)
+    blocks, draw_block = [], trajectories.draw_block
+
+    def recording(generators, n_steps, out=None):
+        block = draw_block(generators, n_steps, out=out)
+        blocks.append((block.shape, out.nbytes))
+        return block
+
+    monkeypatch.setattr(trajectories, "draw_block", recording)
+    m = sf.run_ensemble(TW, init, cfg)
+    # two one-batch chunks, each drawing 5 + 5 + 2 steps into one buffer
+    assert [shape for shape, _ in blocks] == [(32, 5, 4), (32, 5, 4), (32, 2, 4)] * 2
+    assert max(nbytes for _, nbytes in blocks) <= budget
+    for name in TABLES:
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("t_max, dt", [(8.0, 5e-4), (14.0, 1e-4), (0.128, 5e-4),
+                                       (0.5, 1e-4), (15e-4, 5e-4)])
+def test_grids_of_whole_steps_are_accepted(t_max, dt):
+    cfg = sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0)
+    assert cfg.n_steps * dt == pytest.approx(t_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_max, dt", [(1e-3, 3e-4), (1.0, 0.3), (1 + 2e-9, 1e-3)])
+def test_t_max_must_be_a_whole_number_of_steps(t_max, dt):
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0)
 
 
 def test_different_seed_changes_results():
