@@ -8,15 +8,39 @@ bit-identical under any degree of parallelism.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Standard normals consumed per trajectory per step.
 NOISES_PER_STEP = 4
 
 
+@ISeedSequence.register
+class _PhiloxKey:
+    """Seed sequence whose whole state is the Philox key (seed, index).
+
+    ``Philox(key=...)`` first builds, then discards, a ``SeedSequence``
+    drawn from OS entropy; handing Philox this sequence instead sets the
+    same key and counter without that detour.  Registered rather than
+    subclassed, so each generator keeps a slotted object, not a dict.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, seed, index):
+        self.key = (seed, index)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its two 64-bit key words
+        return np.array(self.key, dtype=np.uint64)
+
+
 def trajectory_generator(seed, index):
-    """Generator for one trajectory, a pure function of (seed, index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for one trajectory, a pure function of (seed, index).
+
+    Its stream is that of a Philox generator whose key is the two
+    uint64 words (seed, index).
+    """
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, index)))
 
 
 def draw_block(generators, n_steps, out=None):

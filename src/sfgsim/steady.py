@@ -26,6 +26,7 @@ goes to ``solve_steady_general``: Newton iteration on the six phase-space
 components with backtracking and a damped fixed-point fallback.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,19 +125,37 @@ def classical_rhs(params, x, out=None):
     ``out``, a complex array of that shape that does not overlap ``x``,
     receives the rows instead of a new array (the ensemble step reuses
     one per pass).
+
+    Rows 0 and 2 add the coupling product to their mode's linear term
+    ``eps - gamma a``.  For a mode with ``gamma == 0`` and ``eps == +0+0j``
+    (every travelling-wave run) that term is exactly +0+0j for a finite
+    state, so ``_linear_term`` returns the scalar ``0j`` instead of
+    computing it.  Adding that ``0j`` must stay: it turns a -0 product
+    into +0 as the written-out sum does, and signed zeros can pick the
+    branch of the principal ``sqrt`` of a negative real a3 in the
+    ensemble step.  The conjugate rows 1 and 3 keep their written-out
+    term: the imaginary part of ``conj(eps) - gamma a+`` is -0 or +0
+    depending on the signs of a+, so no constant reproduces it.
     """
     a1, a1p, a2, a2p, a3, a3p = x
     k = params.kappa
     g1, g2, g3 = params.gammas
     if out is None:
         out = np.empty((6,) + np.shape(a1), dtype=complex)
-    out[0] = params.eps1 - g1 * a1 + k * a2p * a3
+    out[0] = _linear_term(params.eps1, g1, a1) + k * a2p * a3
     out[1] = np.conj(params.eps1) - g1 * a1p + k * a2 * a3p
-    out[2] = params.eps2 - g2 * a2 + k * a1p * a3
+    out[2] = _linear_term(params.eps2, g2, a2) + k * a1p * a3
     out[3] = np.conj(params.eps2) - g2 * a2p + k * a1 * a3p
     out[4] = -g3 * a3 - k * a1 * a2
     out[5] = -g3 * a3p - k * a1p * a2p
     return out
+
+
+def _linear_term(eps, gamma, a):
+    """``eps - gamma a``, or ``0j`` where that is exactly +0+0j for finite ``a``."""
+    if gamma or eps or math.copysign(1, eps.real) < 0 or math.copysign(1, eps.imag) < 0:
+        return eps - gamma * a
+    return 0j
 
 
 def residual_norm(params, alpha1, alpha2, alpha3):

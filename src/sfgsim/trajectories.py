@@ -27,7 +27,11 @@ to a buffer distinct from its operands, in the operand order of the
 written-out scheme: numpy's complex multiply may round ``a*b`` and
 ``b*a``, or a product written over its own input, differently in the
 last bit, and the width-1 paths (``step``, ``semiclassical_trajectory``)
-must match the ensemble bit for bit.
+must match the ensemble bit for bit.  The noise pairs w1 + i w3 and
+w2 + i w4 are copied into the real and imaginary parts of a complex
+buffer and conjugated for w1 - i w3 and w2 - i w4, rather than formed
+by multiplying by 1j and adding.  An ensemble pass ends at its last
+sample (see ``TrajectoryConfig``), because steps after it feed no moment.
 
 Ensemble averages of products of these variables converge to
 normally-ordered operator moments.  Trajectories are grouped into a fixed
@@ -123,7 +127,13 @@ class TrajectoryConfig:
     ``dt`` and ``t_max`` are in scaled interaction time
     zeta = kappa |a1(0)| t for travelling-wave runs and in raw time for
     cavity runs.  ``sample_stride`` is the number of steps between
-    recorded samples; ``n_batches`` fixes the standard-error layout.
+    recorded samples, starting with t = 0; ``n_batches`` fixes the
+    standard-error layout.  When ``sample_stride`` does not divide the
+    number of steps, the last sample falls before ``t_max`` and the
+    ensemble integrates only up to it, since later steps would feed no
+    moment: 256 steps at stride 10 are sampled and integrated through
+    step 250.  ``semiclassical_trajectory`` still runs, and checks for
+    divergence, over the whole grid.
     """
 
     dt: float
@@ -251,15 +261,15 @@ class MomentTable:
 class _Workspace:
     """Scratch buffers for ``_advance`` on n trajectories, allocated once per pass."""
 
-    __slots__ = ("m", "F", "t", "pairs", "i_w", "amp", "root_amp")
+    __slots__ = ("m", "F", "t", "pairs", "amp", "root_amp")
 
     def __init__(self, n):
         # midpoint, drift at the midpoint, products (never their own inputs)
         self.m, self.F, self.t = np.empty((3, 6, n), dtype=complex)
         # noise pairs w0 + i w2, w1 + i w3, w0 - i w2, w1 - i w3
         self.pairs = np.empty((4, n), dtype=complex)
-        # i (w2, w3); sqrt(kappa/2 (m3, m3+)); sqrt(dt) times that
-        self.i_w, self.amp, self.root_amp = np.empty((3, 2, n), dtype=complex)
+        # sqrt(kappa/2 (m3, m3+)); sqrt(dt) times that
+        self.amp, self.root_amp = np.empty((2, 2, n), dtype=complex)
 
 
 def _advance(params, s, dt, w, ws):
@@ -285,9 +295,10 @@ def _advance(params, s, dt, w, ws):
     np.subtract(t, s, out=s)
 
     pairs = ws.pairs
-    np.multiply(1j, w[2:4], out=ws.i_w)
-    np.add(w[0:2], ws.i_w, out=pairs[0:2])
-    np.subtract(w[0:2], ws.i_w, out=pairs[2:4])
+    parts = pairs[0:2].view(float)
+    parts[:, 0::2] = w[0:2]
+    parts[:, 1::2] = w[2:4]
+    np.conjugate(pairs[0:2], out=pairs[2:4])
     np.multiply(0.5 * params.kappa, m[4:6], out=ws.amp)
     np.sqrt(ws.amp, out=ws.amp)
     np.multiply(np.sqrt(dt), ws.amp, out=ws.root_amp)
@@ -410,20 +421,21 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     accumulate_sample(sums, 0, s.T, segments, keep)
     gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
 
-    n_steps, stride = cfg.n_steps, cfg.sample_stride
+    # steps after the last sample feed no sample, alive check or moment
+    stride = cfg.sample_stride
+    n_steps = (cfg.n_samples - 1) * stride
     per_draw = NOISE_BLOCK_BYTES // (n * NOISES_PER_STEP * 8)
     buf = np.empty((n, max(1, min(per_draw, n_steps)), NOISES_PER_STEP))
-    done, rec = 0, 1
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
             noise = draw_block(gens, min(buf.shape[1], n_steps - done), out=buf)
             for k in range(noise.shape[1]):
                 _advance(params, s, dt_raw, noise[:, k, :].T, ws)
                 done += 1
-                if done % stride == 0 and rec < cfg.n_samples:
+                if done % stride == 0:
                     alive &= _alive_mask(s)
-                    accumulate_sample(sums, rec, s.T, segments, keep)
-                    rec += 1
+                    accumulate_sample(sums, done // stride, s.T, segments, keep)
     return alive
 
 

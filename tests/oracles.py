@@ -2,11 +2,12 @@
 
 Everything here reimplements the target quantity through a different
 route than the library: damped fixed-point iteration and scipy root
-finding for steady states, the fixed-point equations written out for the
-residual, a per-trajectory scalar integrator for the ensemble engine, a
-per-frequency loop for the batched spectral sweep, periodogram averaging
-of a directly simulated linear SDE for the spectral formula, and Wick
-closure for Gaussian moment closed forms.
+finding for steady states, the flow and the fixed-point equations written
+out for the drift kernel and the residual, a per-trajectory scalar
+integrator for the ensemble engine, a per-frequency loop for the batched
+spectral sweep, periodogram averaging of a directly simulated linear SDE
+for the spectral formula, and Wick closure for Gaussian moment closed
+forms.
 """
 
 import numpy as np
@@ -110,6 +111,21 @@ def fixed_point_general(kappa, g1, g2, g3, e1, e2, damping=0.1, max_iter=500_000
     return a1, a2, a3
 
 
+def classical_rhs_written_out(params, x):
+    """The six flow rows, each one written-out expression, in a new array."""
+    a1, a1p, a2, a2p, a3, a3p = x
+    k = params.kappa
+    g1, g2, g3 = params.gammas
+    out = np.empty((6,) + np.shape(a1), dtype=complex)
+    out[0] = params.eps1 - g1 * a1 + k * a2p * a3
+    out[1] = np.conj(params.eps1) - g1 * a1p + k * a2 * a3p
+    out[2] = params.eps2 - g2 * a2 + k * a1p * a3
+    out[3] = np.conj(params.eps2) - g2 * a2p + k * a1 * a3p
+    out[4] = -g3 * a3 - k * a1 * a2
+    out[5] = -g3 * a3p - k * a1p * a2p
+    return out
+
+
 def residual_three_equations(params, alpha1, alpha2, alpha3):
     """Largest magnitude among the three fixed-point equations, written out."""
     k = params.kappa
@@ -124,15 +140,21 @@ def residual_three_equations(params, alpha1, alpha2, alpha3):
 # scalar reference ensemble
 
 
-def _drift1(k, g1, g2, g3, e1, e2, s):
-    out = np.empty_like(s)
-    out[:, 0] = e1 - g1 * s[:, 0] + k * s[:, 3] * s[:, 4]
-    out[:, 1] = np.conj(e1) - g1 * s[:, 1] + k * s[:, 2] * s[:, 5]
-    out[:, 2] = e2 - g2 * s[:, 2] + k * s[:, 1] * s[:, 4]
-    out[:, 3] = np.conj(e2) - g2 * s[:, 3] + k * s[:, 0] * s[:, 5]
-    out[:, 4] = -g3 * s[:, 4] - k * s[:, 0] * s[:, 2]
-    out[:, 5] = -g3 * s[:, 5] - k * s[:, 1] * s[:, 3]
-    return out
+def scalar_step(params, s, dt, w):
+    """One midpoint step of a (1, 6) state with (1, 4) normals, written out."""
+    k = params.kappa
+    half, root = 0.5 * dt, np.sqrt(dt)
+    m = s
+    for _ in range(3):
+        m = s + half * classical_rhs_written_out(params, m.T).T
+    new = 2.0 * m - s
+    s3 = np.sqrt(0.5 * k * m[:, 4])
+    s3p = np.sqrt(0.5 * k * m[:, 5])
+    new[:, 0] += root * s3 * (w[:, 0] + 1j * w[:, 2])
+    new[:, 1] += root * s3p * (w[:, 1] + 1j * w[:, 3])
+    new[:, 2] += root * s3 * (w[:, 0] - 1j * w[:, 2])
+    new[:, 3] += root * s3p * (w[:, 1] - 1j * w[:, 3])
+    return new
 
 
 def scalar_reference_states(params, init, cfg):
@@ -143,14 +165,10 @@ def scalar_reference_states(params, init, cfg):
     one step at a time from the same keyed streams.  Returns shape
     (n_traj, n_samples, 6).
     """
-    k = params.kappa
-    g1, g2, g3 = params.gammas
-    e1, e2 = params.eps1, params.eps2
     if cfg.mode == "travelling-wave":
-        dt = cfg.dt / (k * abs(init.a1))
+        dt = cfg.dt / (params.kappa * abs(init.a1))
     else:
         dt = cfg.dt
-    half, root = 0.5 * dt, np.sqrt(dt)
 
     states = np.empty((cfg.n_traj, cfg.n_samples, 6), dtype=complex)
     for i in range(cfg.n_traj):
@@ -159,18 +177,7 @@ def scalar_reference_states(params, init, cfg):
         states[i, 0] = s[0]
         rec = 1
         for stepi in range(1, cfg.n_steps + 1):
-            w = gen.standard_normal(4).reshape(1, 4)
-            m = s
-            for _ in range(3):
-                m = s + half * _drift1(k, g1, g2, g3, e1, e2, m)
-            new = 2.0 * m - s
-            s3 = np.sqrt(0.5 * k * m[:, 4])
-            s3p = np.sqrt(0.5 * k * m[:, 5])
-            new[:, 0] += root * s3 * (w[:, 0] + 1j * w[:, 2])
-            new[:, 1] += root * s3p * (w[:, 1] + 1j * w[:, 3])
-            new[:, 2] += root * s3 * (w[:, 0] - 1j * w[:, 2])
-            new[:, 3] += root * s3p * (w[:, 1] - 1j * w[:, 3])
-            s = new
+            s = scalar_step(params, s, dt, gen.standard_normal(4).reshape(1, 4))
             if stepi % cfg.sample_stride == 0 and rec < cfg.n_samples:
                 states[i, rec] = s[0]
                 rec += 1

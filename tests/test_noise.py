@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sfgsim.noise import NOISES_PER_STEP, draw_block, trajectory_generator
 
@@ -45,3 +46,35 @@ def test_moments_are_plausibly_standard_normal():
     x = trajectory_generator(5, 0).standard_normal(200_000)
     assert abs(x.mean()) < 3 / np.sqrt(x.size)
     assert abs(x.std() - 1.0) < 3 / np.sqrt(2 * x.size)
+
+
+# seeds and indices at both ends of their ranges
+KEYS = [(0, 0), (0, 10**6), (2**64 - 1, 0), (2**64 - 1, 10**6), (42, 7)]
+
+
+def philox_stream(seed, index):
+    # an explicit uint64 key: a plain list holding 2**64 - 1 becomes a
+    # float64 array inside Philox and casts to the key 0
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_stream_is_philox_keyed_by_seed_and_index(seed, index):
+    gen = trajectory_generator(seed, index)
+    ref = philox_stream(seed, index)
+    for _ in range(3):
+        assert gen.standard_normal() == ref.standard_normal()
+    assert np.array_equal(gen.standard_normal(1000), ref.standard_normal(1000))
+    for word in ("counter", "key"):
+        assert np.array_equal(gen.bit_generator.state["state"][word],
+                              ref.bit_generator.state["state"][word])
+
+
+def test_draw_block_pieces_are_the_keyed_philox_streams():
+    gens = [trajectory_generator(seed, index) for seed, index in KEYS]
+    refs = [philox_stream(seed, index) for seed, index in KEYS]
+    buf = np.empty((len(KEYS), 30, NOISES_PER_STEP))
+    for n in (7, 13, 30):
+        block = draw_block(gens, n, out=buf)
+        for row, ref in zip(block, refs):
+            assert np.array_equal(row, ref.standard_normal((n, NOISES_PER_STEP)))

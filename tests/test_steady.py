@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,32 @@ def test_residual_norm_contract():
     assert bad > steady._residual_bound(p, ss.alpha1 + 1e-3, ss.alpha2, ss.alpha3)
 
 
+def _signed_zero_states():
+    """(6, n) states whose real and imaginary parts run over +0, -0 and two
+    nonzero values, plus the travelling-wave preset's coherent start."""
+    rng = np.random.default_rng(17)
+    parts = rng.choice(np.array([0.0, -0.0, 1.5, -0.75]), size=(2, 6, 4096))
+    x = np.empty((6, 4097), dtype=complex)
+    x.real[:, :-1], x.imag[:, :-1] = parts
+    t = presets._TW_PARAMS
+    x[:, -1] = sf.PhaseSpacePoint.coherent(
+        t["alpha1_0"], t["alpha2_0"], t["alpha3_0"]).as_array()
+    return x
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# every zero/nonzero combination of (eps1, eps2, gamma1, gamma2, gamma3),
+# then zero pumps and rates carrying a negative sign
+_RATES_AND_PUMPS = [
+    tuple(v if on else 0.0 for v, on in zip((3 - 2j, -1.5 + 0.5j, 0.7, 1.9, 4.0), mask))
+    for mask in itertools.product((False, True), repeat=5)
+] + [(complex(-0.0, 0.0), complex(0.0, -0.0), 0.0, 0.0, 0.0),
+     (complex(-0.0, -0.0), 0.0, -0.0, -0.0, -0.0)]
+
+
 def test_residual_norm_is_the_three_equation_form():
     # the kernel-based residual must round exactly like the equations
     # written out, including complex pumps and asymmetric rates
@@ -142,6 +170,13 @@ def test_residual_norm_is_the_three_equation_form():
         p = sf.SystemParams(10 ** rng.uniform(-4, 0), *g, e1, e2)
         a1, a2, a3 = (complex(*rng.normal(size=2)) * 10 ** rng.uniform(-2, 5) for _ in range(3))
         assert sf.residual_norm(p, a1, a2, a3) == oracles.residual_three_equations(p, a1, a2, a3)
+    # zero and negative-zero rates and pumps, at states with signed zeros
+    x = _signed_zero_states()[0::2, ::64]
+    for eps1, eps2, gamma1, gamma2, gamma3 in _RATES_AND_PUMPS:
+        p = sf.SystemParams(0.3, gamma1, gamma2, gamma3, eps1, eps2)
+        for a1, a2, a3 in x.T:
+            assert (sf.residual_norm(p, a1, a2, a3)
+                    == oracles.residual_three_equations(p, a1, a2, a3))
 
 
 def test_classical_rhs_block_equals_columns():
@@ -159,6 +194,24 @@ def test_classical_rhs_block_equals_columns():
     assert np.array_equal(block, columns)
     states = np.stack([steady.classical_rhs(p, x[:, j]) for j in range(37)], axis=1)
     assert np.allclose(states, block, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("eps1,eps2,gamma1,gamma2,gamma3", _RATES_AND_PUMPS)
+def test_classical_rhs_is_the_written_out_flow_bit_for_bit(eps1, eps2, gamma1, gamma2, gamma3):
+    # rows 0 and 2 skip an idle mode's linear term, which is exactly
+    # +0+0j; signed zeros can pick the sqrt branch of a negative real a3
+    # in the ensemble step, so every bit must match, zero signs included
+    p = sf.SystemParams(presets.TW_KAPPA, gamma1, gamma2, gamma3, eps1, eps2)
+    x = _signed_zero_states()
+    want = oracles.classical_rhs_written_out(p, x)
+    assert _same_bits(steady.classical_rhs(p, x), want)
+    out = np.empty_like(x)
+    assert steady.classical_rhs(p, x, out=out) is out
+    assert _same_bits(out, want)
+    # (6,) states go through numpy's scalar arithmetic
+    for j in [*range(0, 4096, 16), 4096]:
+        assert _same_bits(steady.classical_rhs(p, x[:, j]),
+                          oracles.classical_rhs_written_out(p, x[:, j])), j
 
 
 def test_large_pump_root_passes_scaled_residual_bound():

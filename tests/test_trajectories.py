@@ -64,6 +64,28 @@ def test_noise_enters_with_conjugate_pairing():
     assert out.a3 == pytest.approx(8.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [
+    TW,
+    sf.SystemParams.symmetric(0.01, 1.0, 1.0, -250.0),
+    sf.SystemParams(0.3, 0.0, 0.5, 0.2, 0.0, 2j),
+])
+def test_step_matches_the_scalar_step_at_signed_zeros(p):
+    # signed zeros can pick the sqrt branch of a negative real a3, so a
+    # step from states and noise built of +0, -0 and nonzero parts, the
+    # zero noise of the deterministic path included, must match the
+    # written-out step bit for bit
+    rng = np.random.default_rng(23)
+    vals = np.array([0.0, -0.0, 1.5, -0.75])
+    for _ in range(400):
+        parts = rng.choice(vals, size=(2, 6))
+        state = np.empty(6, dtype=complex)
+        state.real, state.imag = parts
+        for w in (np.zeros(4), rng.choice(np.array([0.0, -0.0, 0.3, -1.1]), size=4)):
+            got = sf.step(p, sf.PhaseSpacePoint(*state), 1e-2, w).as_array()
+            want = oracles.scalar_step(p, state.reshape(1, 6), 1e-2, w.reshape(1, 4))[0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (state, w)
+
+
 def tw_config(**over):
     base = dict(dt=5e-4, t_max=0.05, n_traj=24, seed=404,
                 sample_stride=10, mode="travelling-wave")
@@ -120,6 +142,39 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
             for name in TABLES:
                 assert np.array_equal(getattr(m, name), getattr(ref, name),
                                       equal_nan=True), (width, threads, name)
+
+
+@pytest.mark.parametrize("case", ["finite", "replayed"])
+def test_integration_stops_at_the_last_sample(case, monkeypatch):
+    # stride 10 over 256 steps samples through step 250; the steps after
+    # it feed no sample, alive check or moment, so 250 steps give the
+    # same tables, including which trajectories count as diverged
+    if case == "finite":
+        p, init, dt = TW, sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0), 5e-4
+    else:
+        monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
+        p, dt = sf.SystemParams.travelling_wave(0.1), 0.06
+        init = sf.PhaseSpacePoint.coherent(alpha1=10.0, alpha2=10.0)
+    drawn, real_draw = [], trajectories.draw_block
+
+    def counted(generators, n_steps, out=None):
+        drawn.append(n_steps)
+        return real_draw(generators, n_steps, out)
+
+    monkeypatch.setattr(trajectories, "draw_block", counted)
+    tables = [
+        sf.run_ensemble(p, init, tw_config(n_traj=48, n_batches=8, dt=dt, t_max=n * dt))
+        for n in (256, 250)]
+    passes = 2 if case == "replayed" else 1  # a chunk with diverged trajectories replays
+    assert sum(drawn) == 2 * passes * 250
+    assert tables[0].config.n_samples == tables[1].config.n_samples == 26
+    if case == "replayed":
+        assert 0 < tables[0].n_diverged < 48
+    assert tables[0].n_diverged == tables[1].n_diverged
+    assert np.array_equal(tables[0].times, tables[1].times)
+    for name in TABLES:
+        assert np.array_equal(getattr(tables[0], name), getattr(tables[1], name),
+                              equal_nan=True), name
 
 
 def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeypatch):
