@@ -26,7 +26,6 @@ goes to ``solve_steady_general``: Newton iteration on the six phase-space
 components with backtracking and a damped fixed-point fallback.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,45 +116,86 @@ class StabilityBoundary:
     note: str = ""
 
 
-def classical_rhs(params, x, out=None):
+def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
     """Noise-free right-hand sides over the six phase-space components.
 
     The one copy of the classical flow: ``x`` is a state of shape (6,) or
     a component-first block of n states (6, n); the result has its shape.
-    ``out``, a complex array of that shape that does not overlap ``x``,
-    receives the rows instead of a new array (the ensemble step reuses
-    one per pass).
+    ``out``, a C-contiguous complex array of that shape that does not
+    overlap ``x``, receives the rows instead of a new array.
 
-    Rows 0 and 2 add the coupling product to their mode's linear term
-    ``eps - gamma a``.  For a mode with ``gamma == 0`` and ``eps == +0+0j``
-    (every travelling-wave run) that term is exactly +0+0j for a finite
-    state, so ``_linear_term`` returns the scalar ``0j`` instead of
-    computing it.  Adding that ``0j`` must stay: it turns a -0 product
-    into +0 as the written-out sum does, and signed zeros can pick the
-    branch of the principal ``sqrt`` of a negative real a3 in the
-    ensemble step.  The conjugate rows 1 and 3 keep their written-out
-    term: the imaginary part of ``conj(eps) - gamma a+`` is -0 or +0
-    depending on the signs of a+, so no constant reproduces it.
+    A (6,) state goes through ``flow_rows``.  A block runs those rows
+    stacked, in eight array operations: with y = k x[0:4],
+
+        rows 0-3:  E - G x[0:4] + y[3::-1].reshape(2, 2, n) * x[4:6]
+        rows 4-5:  (-g3) x[4:6] - y[0:2] * x[2:4]
+
+    Each is the written-out operation in its operand order (numpy's fused
+    multiply-add rounds ``a*b`` and ``b*a`` differently), and no product
+    is written over its own input, so an idle mode's ``eps - gamma a`` is
+    +0+0j as written out.  The test
+    ``test_classical_rhs_is_the_written_out_flow_bit_for_bit`` pins blocks
+    of width 1, 7, 256, 2048 and 4097 and 257 (6,) states to the
+    written-out flow, signed zeros included.  The ensemble step passes
+    ``coefficients``, ``block_coefficients(params, n)`` built once per
+    pass, and ``scratch``, a C-contiguous complex (6, n) buffer
+    overlapping neither ``x`` nor ``out``.
     """
-    a1, a1p, a2, a2p, a3, a3p = x
-    k = params.kappa
-    g1, g2, g3 = params.gammas
+    if np.ndim(x) == 1:
+        if out is None:
+            out = np.empty(6, dtype=complex)
+        out[:] = flow_rows(flow_coefficients(params), *x)
+        return out
+    n = x.shape[1]
+    E, G, k, mg3 = block_coefficients(params, n) if coefficients is None else coefficients
     if out is None:
-        out = np.empty((6,) + np.shape(a1), dtype=complex)
-    out[0] = _linear_term(params.eps1, g1, a1) + k * a2p * a3
-    out[1] = np.conj(params.eps1) - g1 * a1p + k * a2 * a3p
-    out[2] = _linear_term(params.eps2, g2, a2) + k * a1p * a3
-    out[3] = np.conj(params.eps2) - g2 * a2p + k * a1 * a3p
-    out[4] = -g3 * a3 - k * a1 * a2
-    out[5] = -g3 * a3p - k * a1p * a2p
+        out = np.empty((6, n), dtype=complex)
+    t = np.empty((6, n), dtype=complex) if scratch is None else scratch
+    np.multiply(k, x[0:4], out=t[0:4])
+    np.multiply(t[3::-1].reshape(2, 2, n), x[4:6], out=out[0:4].reshape(2, 2, n, copy=False))
+    np.multiply(t[0:2], x[2:4], out=t[4:6])
+    np.multiply(mg3, x[4:6], out=out[4:6])
+    np.subtract(out[4:6], t[4:6], out=out[4:6])
+    np.multiply(G, x[0:4], out=t[0:4])
+    np.subtract(E, t[0:4], out=t[0:4])
+    np.add(t[0:4], out[0:4], out=out[0:4])
     return out
 
 
-def _linear_term(eps, gamma, a):
-    """``eps - gamma a``, or ``0j`` where that is exactly +0+0j for finite ``a``."""
-    if gamma or eps or math.copysign(1, eps.real) < 0 or math.copysign(1, eps.imag) < 0:
-        return eps - gamma * a
-    return 0j
+def flow_coefficients(params):
+    """(k, g1, g2, -g3, eps1, eps1*, eps2, eps2*) as Python complex numbers.
+
+    Real rates held as complex make every product the full complex
+    multiply numpy does on promoting a real scalar, whatever the
+    interpreter (CPython 3.14 multiplies float by complex without the
+    zero terms, which can flip the sign of a zero).
+    """
+    g1, g2, g3 = params.gammas
+    eps1, eps2 = params.eps1, params.eps2
+    return tuple(map(complex, (params.kappa, g1, g2, -g3, eps1, eps1.conjugate(),
+                               eps2, eps2.conjugate())))
+
+
+def flow_rows(c, a1, a1p, a2, a2p, a3, a3p):
+    """The six flow rows of one state, written out; ``c`` is ``flow_coefficients``."""
+    k, g1, g2, mg3, e1, e1c, e2, e2c = c
+    return (e1 - g1 * a1 + k * a2p * a3,
+            e1c - g1 * a1p + k * a2 * a3p,
+            e2 - g2 * a2 + k * a1p * a3,
+            e2c - g2 * a2p + k * a1 * a3p,
+            mg3 * a3 - k * a1 * a2,
+            mg3 * a3p - k * a1p * a2p)
+
+
+def block_coefficients(params, n):
+    """(E, G, k, -g3) for an n-wide block; E and G are (4, n), filled.
+
+    E = (eps1, eps1*, eps2, eps2*) and G = (g1, g1, g2, g2) by row.
+    Filled rows, because numpy broadcasts a (4, 1) column more slowly.
+    """
+    k, g1, g2, mg3, e1, e1c, e2, e2c = flow_coefficients(params)
+    E, G = np.repeat([[[e1], [e1c], [e2], [e2c]], [[g1], [g1], [g2], [g2]]], n, axis=2)
+    return E, G, k, mg3
 
 
 def residual_norm(params, alpha1, alpha2, alpha3):

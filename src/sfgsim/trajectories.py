@@ -26,12 +26,21 @@ cache across the midpoint iterations.  Every complex product is written
 to a buffer distinct from its operands, in the operand order of the
 written-out scheme: numpy's complex multiply may round ``a*b`` and
 ``b*a``, or a product written over its own input, differently in the
-last bit, and the width-1 paths (``step``, ``semiclassical_trajectory``)
-must match the ensemble bit for bit.  The noise pairs w1 + i w3 and
-w2 + i w4 are copied into the real and imaginary parts of a complex
-buffer and conjugated for w1 - i w3 and w2 - i w4, rather than formed
-by multiplying by 1j and adding.  An ensemble pass ends at its last
-sample (see ``TrajectoryConfig``), because steps after it feed no moment.
+last bit, and the width-1 path ``step`` must match the ensemble bit for
+bit.  The noise pairs w1 + i w3 and w2 + i w4 are copied into the real
+and imaginary parts of a complex buffer and conjugated for w1 - i w3 and
+w2 - i w4, rather than formed by multiplying by 1j and adding.  An
+ensemble pass ends at its last sample (see ``TrajectoryConfig``),
+because steps after it feed no moment.
+
+``semiclassical_trajectory`` runs the same step with zero noise on Python
+complex scalars through ``steady.flow_rows``, since a width-1 block
+spends its time in numpy call overhead (about 10 us per step instead of
+140 us).  Scalar arithmetic rounds each multiply and add of a complex
+product on its own, where numpy's vector loops may fuse them (FMA), so
+with nonzero imaginary parts the path can differ from ``step`` in the
+last bits (2e-17 relative on a complex-pump run); with real states, as
+in fig8, it matches ``step`` bit for bit.
 
 Ensemble averages of products of these variables converge to
 normally-ordered operator moments.  Trajectories are grouped into a fixed
@@ -41,6 +50,8 @@ function of (seed, n_traj, n_batches, grid) - bit-identical under any
 chunking or thread count.
 """
 
+import cmath
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +62,7 @@ from .config import _parse_value
 from .errors import ConfigError, EnsembleQualityError, ParameterError
 from .noise import NOISES_PER_STEP, draw_block, trajectory_generator
 from .params import SystemParams
-from .steady import classical_rhs
+from .steady import block_coefficients, classical_rhs, flow_coefficients, flow_rows
 
 # Any amplitude beyond this magnitude flags the trajectory as diverged;
 # roughly 1e5 times the largest physical amplitude of interest here.
@@ -133,7 +144,9 @@ class TrajectoryConfig:
     ensemble integrates only up to it, since later steps would feed no
     moment: 256 steps at stride 10 are sampled and integrated through
     step 250.  ``semiclassical_trajectory`` still runs, and checks for
-    divergence, over the whole grid.
+    divergence, over the whole grid.  A ``sample_stride`` beyond the
+    number of steps raises ParameterError: no sample would follow t = 0,
+    so the ensemble would integrate nothing.
     """
 
     dt: float
@@ -158,6 +171,10 @@ class TrajectoryConfig:
             raise ParameterError("n_traj must be >= 2 so variances are estimable")
         if self.sample_stride < 1:
             raise ParameterError("sample_stride must be >= 1")
+        if self.sample_stride > self.n_steps:
+            raise ParameterError(
+                f"sample_stride ({self.sample_stride}) exceeds the {self.n_steps} steps "
+                f"of the grid, so no sample would follow t = 0")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}")
         if self.n_batches < 2:
@@ -259,11 +276,12 @@ class MomentTable:
 
 
 class _Workspace:
-    """Scratch buffers for ``_advance`` on n trajectories, allocated once per pass."""
+    """Drift coefficients and scratch buffers for ``_advance``, built once per pass."""
 
-    __slots__ = ("m", "F", "t", "pairs", "amp", "root_amp")
+    __slots__ = ("flow", "m", "F", "t", "pairs", "amp", "root_amp")
 
-    def __init__(self, n):
+    def __init__(self, params, n):
+        self.flow = block_coefficients(params, n)
         # midpoint, drift at the midpoint, products (never their own inputs)
         self.m, self.F, self.t = np.empty((3, 6, n), dtype=complex)
         # noise pairs w0 + i w2, w1 + i w3, w0 - i w2, w1 - i w3
@@ -277,7 +295,7 @@ def _advance(params, s, dt, w, ws):
 
     ``s`` is the component-first state block, shape (6, n) complex, and
     ``w`` holds four standard normals per trajectory, shape (4, n); pass
-    zeros for the deterministic flow.  ``ws`` is a ``_Workspace(n)``.
+    zeros for the deterministic flow.  ``ws`` is a ``_Workspace(params, n)``.
     Three fixed-point iterations locate the drift midpoint m, the step
     completes as 2m - s (second-order deterministic part), and the noise
     amplitudes are evaluated at m; no Stratonovich correction is needed
@@ -287,7 +305,7 @@ def _advance(params, s, dt, w, ws):
     m, F, t = ws.m, ws.F, ws.t
     x = s
     for _ in range(MIDPOINT_ITERATIONS):
-        classical_rhs(params, x, out=F)
+        classical_rhs(params, x, out=F, coefficients=ws.flow, scratch=t)
         np.multiply(half, F, out=t)
         np.add(s, t, out=m)
         x = m
@@ -315,7 +333,7 @@ def step(params, state, dt, noise):
     """
     s = state.as_array().reshape(6, 1)
     w = np.asarray(noise, dtype=float).reshape(4, 1)
-    _advance(params, s, dt, w, _Workspace(1))
+    _advance(params, s, dt, w, _Workspace(params, 1))
     return PhaseSpacePoint(*s[:, 0])
 
 
@@ -416,7 +434,7 @@ def _run_chunk(params, init, cfg, dt_raw, lo, hi, segments):
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     n = hi - lo
     s = np.repeat(init.as_array()[:, None], n, axis=1)
-    ws = _Workspace(n)
+    ws = _Workspace(params, n)
     alive = np.ones(n, dtype=bool)
     accumulate_sample(sums, 0, s.T, segments, keep)
     gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
@@ -537,23 +555,42 @@ def run_ensemble(params, init, cfg, threads=None):
 def semiclassical_trajectory(params, init, cfg):
     """Deterministic mean-field path on the ensemble's sample grid.
 
-    Same midpoint integrator with the noise removed; returns
-    ``(times, states)`` with states of shape (S, 6).
+    The midpoint step of ``_advance`` with the noise zero, on Python
+    complex scalars (see the module docstring); returns ``(times, states)``
+    with states of shape (S, 6).  Every step is checked against the
+    divergence guard.
     """
     dt_raw = _raw_dt(params, init, cfg)
-    s = init.as_array().reshape(6, 1)
-    zeros = np.zeros((4, 1))
-    ws = _Workspace(1)
+    c = flow_coefficients(params)
+    half, two = complex(0.5 * dt_raw), complex(2.0)
+    half_kappa, root_dt = complex(0.5 * params.kappa), complex(math.sqrt(dt_raw))
+    # the zero noise pairs w0 + i w2 and w0 - i w2
+    zero, zero_conj = complex(0.0, 0.0), complex(0.0, -0.0)
+    s = tuple(map(complex, init.as_array()))
     states = np.empty((cfg.n_samples, 6), dtype=complex)
-    states[0] = s[:, 0]
-    rec = 1
+    states[0] = s
     for k in range(1, cfg.n_steps + 1):
-        _advance(params, s, dt_raw, zeros, ws)
-        if not _alive_mask(s)[0]:
+        m = s
+        for _ in range(MIDPOINT_ITERATIONS):
+            m = tuple(si + half * fi for si, fi in zip(s, flow_rows(c, *m)))
+        a1, a1p, a2, a2p, a3, a3p = (two * mi - si for mi, si in zip(m, s))
+        # the noise term at w = 0 adds a signed zero, as it does in _advance
+        amp = root_dt * cmath.sqrt(half_kappa * m[4])
+        ampp = root_dt * cmath.sqrt(half_kappa * m[5])
+        s = (a1 + amp * zero, a1p + ampp * zero, a2 + amp * zero_conj,
+             a2p + ampp * zero_conj, a3, a3p)
+        if not _inside_guard(s):
             raise EnsembleQualityError(
                 f"semiclassical path hit the divergence guard at step {k}"
             )
-        if k % cfg.sample_stride == 0 and rec < cfg.n_samples:
-            states[rec] = s[:, 0]
-            rec += 1
+        if k % cfg.sample_stride == 0:
+            states[k // cfg.sample_stride] = s
     return cfg.sample_times(), states
+
+
+def _inside_guard(state):
+    """``_alive_mask`` for one state of Python complex numbers."""
+    try:
+        return all(abs(z) <= DIVERGENCE_GUARD for z in state)
+    except OverflowError:  # a magnitude beyond the largest float
+        return False

@@ -216,9 +216,11 @@ def test_flags_parse_like_config_keys():
      "SFGSIM_THREADS"),
     (["simulate", "--n-traj", "4", "--dt", "3e-4", "--t-max", "1e-3"], {},
      "whole number of steps"),
+    (["simulate", "--n-traj", "8", "--t-max", "0.001", "--dt", "0.0005"], {},
+     "sample_stride (10) exceeds the 2 steps"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
-        "tw-zero-a1", "threads-env", "t-max-not-whole-steps"])
+        "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

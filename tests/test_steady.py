@@ -198,9 +198,9 @@ def test_classical_rhs_block_equals_columns():
 
 @pytest.mark.parametrize("eps1,eps2,gamma1,gamma2,gamma3", _RATES_AND_PUMPS)
 def test_classical_rhs_is_the_written_out_flow_bit_for_bit(eps1, eps2, gamma1, gamma2, gamma3):
-    # rows 0 and 2 skip an idle mode's linear term, which is exactly
-    # +0+0j; signed zeros can pick the sqrt branch of a negative real a3
-    # in the ensemble step, so every bit must match, zero signs included
+    # blocks run the rows stacked, (6,) states written out on scalars;
+    # signed zeros can pick the sqrt branch of a negative real a3 in the
+    # ensemble step, so every bit must match, zero signs included
     p = sf.SystemParams(presets.TW_KAPPA, gamma1, gamma2, gamma3, eps1, eps2)
     x = _signed_zero_states()
     want = oracles.classical_rhs_written_out(p, x)
@@ -208,6 +208,21 @@ def test_classical_rhs_is_the_written_out_flow_bit_for_bit(eps1, eps2, gamma1, g
     out = np.empty_like(x)
     assert steady.classical_rhs(p, x, out=out) is out
     assert _same_bits(out, want)
+    # the widths the ensemble runs: numpy's vector loops split a row into
+    # a body and a remainder by width, and the stacked rows run as longer
+    # loops than the written-out ones.  Generic values as well, whose
+    # products round: numpy's fused multiply-add rounds (k a) b and
+    # b (k a) differently, so they pin the operand order
+    generic = np.random.default_rng(29).normal(scale=40.0, size=(2, 6, 2048))
+    for states in (x, generic[0] + 1j * generic[1]):
+        for width in (1, 7, 256, 2048):
+            block = np.ascontiguousarray(states[:, -width:])
+            want = oracles.classical_rhs_written_out(p, block)
+            assert _same_bits(steady.classical_rhs(p, block), want), width
+            out, scratch = np.empty((2, 6, width), dtype=complex)
+            steady.classical_rhs(p, block, out=out, scratch=scratch,
+                                 coefficients=steady.block_coefficients(p, width))
+            assert _same_bits(out, want), width
     # (6,) states go through numpy's scalar arithmetic
     for j in [*range(0, 4096, 16), 4096]:
         assert _same_bits(steady.classical_rhs(p, x[:, j]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
-from sfgsim import trajectories
+from sfgsim import presets, trajectories
 from sfgsim.errors import EnsembleQualityError, ParameterError
 from sfgsim.trajectories import _batch_bounds
 
@@ -203,7 +203,8 @@ def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeyp
 @pytest.mark.parametrize("t_max, dt", [(8.0, 5e-4), (14.0, 1e-4), (0.128, 5e-4),
                                        (0.5, 1e-4), (15e-4, 5e-4)])
 def test_grids_of_whole_steps_are_accepted(t_max, dt):
-    cfg = sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0)
+    # stride 1: the three-step grid has no sample at the default stride 10
+    cfg = sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0, sample_stride=1)
     assert cfg.n_steps * dt == pytest.approx(t_max, rel=1e-12)
 
 
@@ -211,6 +212,17 @@ def test_grids_of_whole_steps_are_accepted(t_max, dt):
 def test_t_max_must_be_a_whole_number_of_steps(t_max, dt):
     with pytest.raises(ParameterError, match="whole number of steps"):
         sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0)
+
+
+@pytest.mark.parametrize("t_max, dt, stride", [(1e-3, 5e-4, 10), (15e-4, 5e-4, 4),
+                                               (0.5, 1e-4, 5001)])
+def test_a_stride_past_the_grid_is_refused(t_max, dt, stride):
+    # no sample would follow t = 0, so the run would integrate nothing
+    with pytest.raises(ParameterError, match="sample_stride"):
+        sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0, sample_stride=stride)
+    cfg = sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0,
+                              sample_stride=round(t_max / dt))
+    assert cfg.n_samples == 2
 
 
 def test_different_seed_changes_results():
@@ -335,6 +347,62 @@ def test_semiclassical_converges_to_fixed_point():
     t, path = sf.semiclassical_trajectory(p, sf.PhaseSpacePoint.vacuum(), cfg)
     assert abs(path[-1, 0] - ss.alpha1) < 1e-6
     assert abs(path[-1, 4] - ss.alpha3) < 1e-6
+
+
+def _written_out_mean_field(p, init, cfg):
+    """``oracles.scalar_step`` with zero noise on the sample grid, and the
+    step at which it leaves the divergence guard (None if it stays)."""
+    dt = trajectories._raw_dt(p, init, cfg)
+    s, w = init.as_array().reshape(1, 6), np.zeros((1, 4))
+    states = [s[0]]
+    for k in range(1, cfg.n_steps + 1):
+        s = oracles.scalar_step(p, s, dt, w)
+        if not np.all(np.abs(s) <= trajectories.DIVERGENCE_GUARD):
+            return None, k
+        if k % cfg.sample_stride == 0:
+            states.append(s[0])
+    return np.array(states), None
+
+
+_FIG8 = sf.SystemParams(**presets.PRESETS["fig8"].parameters["run"])
+_TW_RUN = presets._TW_PARAMS
+
+
+@pytest.mark.parametrize("p, init, cfg, rtol", [
+    # fig8 from vacuum on a shortened grid: real states, exact
+    (_FIG8, sf.PhaseSpacePoint.vacuum(),
+     sf.TrajectoryConfig(dt=1e-4, t_max=0.3, n_traj=2, seed=0, sample_stride=500), 0.0),
+    # the travelling-wave preset's coherent start: exact
+    (sf.SystemParams.travelling_wave(_TW_RUN["kappa"]),
+     sf.PhaseSpacePoint.coherent(_TW_RUN["alpha1_0"], _TW_RUN["alpha2_0"], _TW_RUN["alpha3_0"]),
+     sf.TrajectoryConfig(dt=5e-4, t_max=2.0, n_traj=2, seed=0, sample_stride=100,
+                         mode="travelling-wave"), 0.0),
+    # complex pumps, asymmetric cavity: the oracle's length-1 array loops
+    # may fuse a complex product's multiply and add, Python scalars do not
+    (sf.SystemParams(0.01, 1.0, 1.7, 10.0, 400 * np.exp(0.7j), 300 * np.exp(-0.2j)),
+     sf.PhaseSpacePoint.coherent(3 - 1j, 2j, -0.5),
+     sf.TrajectoryConfig(dt=1e-3, t_max=3.0, n_traj=2, seed=0, sample_stride=100), 1e-12),
+], ids=["fig8-vacuum", "travelling-wave-coherent", "complex-pump-asymmetric"])
+def test_semiclassical_is_the_written_out_step_without_noise(p, init, cfg, rtol):
+    want, _ = _written_out_mean_field(p, init, cfg)
+    times, got = sf.semiclassical_trajectory(p, init, cfg)
+    assert np.array_equal(times, cfg.sample_times())
+    if rtol == 0.0:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_semiclassical_divergence_is_caught_at_its_step():
+    # fig8's pump with a step far too long runs away within a few steps
+    cfg = sf.TrajectoryConfig(dt=0.3, t_max=60.0, n_traj=2, seed=0, sample_stride=10)
+    _, k = _written_out_mean_field(_FIG8, sf.PhaseSpacePoint.vacuum(), cfg)
+    assert k == 7
+    with pytest.raises(EnsembleQualityError, match=f"at step {k}$"):
+        sf.semiclassical_trajectory(_FIG8, sf.PhaseSpacePoint.vacuum(), cfg)
+    # a magnitude beyond the largest float is outside the guard, not an error
+    assert not trajectories._inside_guard((0j,) * 5 + (complex(1.7e308, 1.7e308),))
+    assert not trajectories._inside_guard((0j,) * 5 + (complex(float("nan"), 0.0),))
 
 
 def test_batch_bounds_partition():
