@@ -120,9 +120,11 @@ def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
     """Noise-free right-hand sides over the six phase-space components.
 
     The one copy of the classical flow: ``x`` is a state of shape (6,) or
-    a component-first block of n states (6, n); the result has its shape.
-    ``out``, a C-contiguous complex array of that shape that does not
-    overlap ``x``, receives the rows instead of a new array.
+    a component-first block of n states, anything ``np.asarray`` makes
+    into shape (6, n); the result has its shape.  ``out``, a C-contiguous
+    complex array of that shape that does not overlap ``x``, receives the
+    rows instead of a new array; a block ``out`` that is not C-contiguous
+    raises ValueError.
 
     A (6,) state goes through ``flow_rows``.  A block runs those rows
     stacked, in eight array operations: with y = k x[0:4],
@@ -146,13 +148,16 @@ def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
             out = np.empty(6, dtype=complex)
         out[:] = flow_rows(flow_coefficients(params), *x)
         return out
+    x = np.asarray(x)
     n = x.shape[1]
     E, G, k, mg3 = block_coefficients(params, n) if coefficients is None else coefficients
     if out is None:
         out = np.empty((6, n), dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("classical_rhs needs a C-contiguous out")
     t = np.empty((6, n), dtype=complex) if scratch is None else scratch
     np.multiply(k, x[0:4], out=t[0:4])
-    np.multiply(t[3::-1].reshape(2, 2, n), x[4:6], out=out[0:4].reshape(2, 2, n, copy=False))
+    np.multiply(t[3::-1].reshape(2, 2, n), x[4:6], out=out[0:4].reshape(2, 2, n))
     np.multiply(t[0:2], x[2:4], out=t[4:6])
     np.multiply(mg3, x[4:6], out=out[4:6])
     np.subtract(out[4:6], t[4:6], out=out[4:6])

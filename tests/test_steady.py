@@ -192,6 +192,10 @@ def test_classical_rhs_block_equals_columns():
     columns = np.concatenate([steady.classical_rhs(p, x[:, j:j + 1]) for j in range(37)],
                              axis=1)
     assert np.array_equal(block, columns)
+    # a block may come as six rows; an out it cannot write in place is refused
+    assert np.array_equal(steady.classical_rhs(p, tuple(x)), block)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        steady.classical_rhs(p, x, out=np.empty((6, 74), dtype=complex)[:, ::2])
     states = np.stack([steady.classical_rhs(p, x[:, j]) for j in range(37)], axis=1)
     assert np.allclose(states, block, rtol=1e-14, atol=0)
 
