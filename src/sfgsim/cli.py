@@ -53,7 +53,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_PARAM_KEYS = ("kappa", "gamma1", "gamma2", "gamma3", "eps1", "eps2", "output", "threads")
+_PHYSICS_KEYS = ("kappa", "gamma1", "gamma2", "gamma3", "eps1", "eps2")
+_PARAM_KEYS = _PHYSICS_KEYS + ("output", "threads")
 _TRAJECTORY_KEYS = ("dt", "t_max", "sample_stride", "n_traj", "seed",
                     "alpha1_0", "alpha2_0", "alpha3_0")
 
@@ -111,6 +112,12 @@ def _merge_config(args):
         if hasattr(args, key):
             setattr(cfg, key, getattr(args, key))
     if args.command == "reproduce":
+        # a preset runs its own parameters, so a physics flag would be
+        # recorded in the sidecar beside data not computed with it
+        ignored = ["--" + key for key in _PHYSICS_KEYS if hasattr(args, key)]
+        if ignored:
+            raise ConfigError(f"reproduce runs the preset's own parameters; "
+                              f"{', '.join(ignored)} cannot change them")
         cfg.reproduce = args.figure
     cfg.validate()
     directory = os.path.dirname(cfg.output or "") or "."  # fail before the work

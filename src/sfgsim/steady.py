@@ -242,7 +242,8 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
 
     Requires gamma1 = gamma2 and a common real nonnegative pump.  Returns
     the unique physical branch (a3 <= 0) and verifies it against the full
-    fixed-point equations.
+    fixed-point equations.  A cubic beyond float64's range raises
+    SteadyStateError without a warning.
     """
     if not params.is_symmetric:
         raise ParameterError("solve_steady_symmetric requires symmetric parameters")
@@ -258,8 +259,13 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     if gamma <= 0 or gamma3 <= 0:
         raise ParameterError("a driven cavity needs gamma > 0 and gamma3 > 0 for a steady state")
 
-    coeffs = _cubic_coeffs(params.kappa, gamma, gamma3, eps)
-    roots = np.roots(coeffs)
+    try:  # eps**2 beyond the largest float, or an infinite companion matrix
+        coeffs = _cubic_coeffs(params.kappa, gamma, gamma3, eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = np.roots(coeffs)
+    except (OverflowError, np.linalg.LinAlgError):
+        raise SteadyStateError(
+            "the steady-state cubic overflows float64: pump or rates too large") from None
     # The complex pair has real part above gamma/kappa > 0 (the roots sum
     # to 2 gamma/kappa), so the physical root has the smallest real part.
     a3 = float(roots[np.argmin(roots.real)].real)
@@ -287,6 +293,8 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     Newton iteration on the six phase-space components (the flow is
     holomorphic, so the complex Jacobian is exactly -A) with a damped
     step fallback; agrees with the closed form in the symmetric case.
+    A residual that overflows float64 cannot recover, so it raises
+    ConvergenceError at once, without a warning.
     """
     g1, g2, g3 = params.gammas
     if min(g1, g2, g3) <= 0:
@@ -310,44 +318,49 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     def max_abs(v):
         return float(np.max(np.abs(v)))
 
-    n_iter = 0
-    F = classical_rhs(params, x)
-    res = max_abs(F)
-    while n_iter < MAX_ITERATIONS:
-        # stopping tests relative to the equation terms and the iterate: a
-        # root correct to rounding leaves a few 1e-16 of the terms, and
-        # 1e-14 of them stays below the verification bound at any scale
-        if res < 1e-14 * _term_scale(params, x[0], x[2], x[4]):
-            break
-        A = drift_matrix_raw(params.kappa, g1, g2, g3, x)
-        try:
-            step = np.linalg.solve(-A, -F)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.all(np.isfinite(step)):
-            # backtracking on the residual
-            lam = 1.0
-            accepted = False
-            for _ in range(60):
-                trial = x + lam * step
-                trial_F = classical_rhs(params, trial)
-                trial_res = max_abs(trial_F)
-                n_iter += 1
-                if trial_res < res:
-                    x, F, res = trial, trial_F, trial_res
-                    accepted = True
-                    break
-                lam *= 0.5
-            if accepted and lam * max_abs(step) < 1e-14 * max(1.0, max_abs(x)):
-                break
-            if accepted:
-                continue
-        # damped fixed-point fallback: relax toward the explicit updates
-        # x_j + F_j/gamma_j, which solve row j of the flow for its own x_j
-        x = x + 0.1 * F / np.repeat(params.gammas, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_iter = 0
         F = classical_rhs(params, x)
         res = max_abs(F)
-        n_iter += 1
+        while n_iter < MAX_ITERATIONS:
+            if not np.isfinite(res):
+                raise ConvergenceError(
+                    f"steady-state iteration overflowed float64 (residual {res:.3e}): "
+                    "pumps too large", last_iterate=x)
+            # stopping tests relative to the equation terms and the iterate: a
+            # root correct to rounding leaves a few 1e-16 of the terms, and
+            # 1e-14 of them stays below the verification bound at any scale
+            if res < 1e-14 * _term_scale(params, x[0], x[2], x[4]):
+                break
+            A = drift_matrix_raw(params.kappa, g1, g2, g3, x)
+            try:
+                step = np.linalg.solve(-A, -F)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                # backtracking on the residual
+                lam = 1.0
+                accepted = False
+                for _ in range(60):
+                    trial = x + lam * step
+                    trial_F = classical_rhs(params, trial)
+                    trial_res = max_abs(trial_F)
+                    n_iter += 1
+                    if trial_res < res:
+                        x, F, res = trial, trial_F, trial_res
+                        accepted = True
+                        break
+                    lam *= 0.5
+                if accepted and lam * max_abs(step) < 1e-14 * max(1.0, max_abs(x)):
+                    break
+                if accepted:
+                    continue
+            # damped fixed-point fallback: relax toward the explicit updates
+            # x_j + F_j/gamma_j, which solve row j of the flow for its own x_j
+            x = x + 0.1 * F / np.repeat(params.gammas, 2)
+            F = classical_rhs(params, x)
+            res = max_abs(F)
+            n_iter += 1
 
     residual = residual_norm(params, x[0], x[2], x[4])
     if not residual < _residual_bound(params, x[0], x[2], x[4]):

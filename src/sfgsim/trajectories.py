@@ -47,7 +47,10 @@ normally-ordered operator moments.  Trajectories are grouped into a fixed
 number of batches; batch means provide standard errors.  Each batch is
 reduced in one contiguous pass, so every reported moment is a pure
 function of (seed, n_traj, n_batches, grid) - bit-identical under any
-chunking or thread count.
+chunking or thread count.  Each group of batches accumulates its sums
+straight into its own rows of the table ``run_ensemble`` returns, which
+are then divided in place into batch means: the ensemble never holds a
+second copy of the table.
 """
 
 import os
@@ -214,7 +217,10 @@ class MomentTable:
 
     Per-batch means (first axis) let any derived statistic carry a
     standard error from the spread of batch values; the combined view
-    weights batches by their surviving trajectory counts.
+    weights batches by their surviving trajectory counts.  The six tables
+    hold B x S x 42 complex numbers (66 MiB at 64 batches and 1601
+    samples) whatever the ensemble size; ``global_view`` adds only its
+    result and one S-row product per table.
     """
 
     times: np.ndarray
@@ -239,18 +245,22 @@ class MomentTable:
         return np.nonzero(self.batch_valid > 0)[0]
 
     def _combine(self, arr):
+        # a running total over the nonempty batches, from +0 like numpy's
+        # sum over axis 0 (row by row, in order): the same bits as the
+        # stacked ``(arr[idx] * w).sum(axis=0)`` without its two B-row
+        # temporaries; no nonempty batch gives 0/0 = NaN
         idx = self.nonempty
         w = self.batch_valid[idx].astype(float)
-        shape = (-1,) + (1,) * (arr.ndim - 1)
-        return (arr[idx] * w.reshape(shape)).sum(axis=0) / w.sum()
+        total = np.zeros(arr.shape[1:], dtype=complex)
+        for b, wb in zip(idx, w):
+            total += arr[b] * wb
+        return total / w.sum()
 
     def global_view(self):
-        return MomentView(*(self._combine(t) for t in
-                            (self.a, self.ap, self.aa, self.apap, self.apa, self.nn)))
+        return MomentView(*(self._combine(getattr(self, n)) for n in MomentView.__slots__))
 
     def batch_view(self, b):
-        return MomentView(self.a[b], self.ap[b], self.aa[b], self.apap[b],
-                          self.apa[b], self.nn[b])
+        return MomentView(*(getattr(self, n)[b] for n in MomentView.__slots__))
 
     def batch_statistic(self, fn):
         """Evaluate ``fn(view)`` globally and per batch.
@@ -364,24 +374,11 @@ def _batch_bounds(n_traj, n_batches):
     return counts, bounds
 
 
-class _ChunkSums:
-    """Per-batch moment sums for one contiguous group of batches."""
-
-    def __init__(self, nb, ns):
-        self.a = np.zeros((nb, ns, 3), dtype=complex)
-        self.ap = np.zeros((nb, ns, 3), dtype=complex)
-        self.aa = np.zeros((nb, ns, 3, 3), dtype=complex)
-        self.apap = np.zeros((nb, ns, 3, 3), dtype=complex)
-        self.apa = np.zeros((nb, ns, 3, 3), dtype=complex)
-        self.nn = np.zeros((nb, ns, 3, 3), dtype=complex)
-        self.valid = np.zeros(nb, dtype=int)
-
-    def tables(self):
-        return self.a, self.ap, self.aa, self.apap, self.apa, self.nn
-
-
 def accumulate_sample(sums, rec, s, segments, keep=None):
     """Add one sample's moment products to per-batch sums.
+
+    ``sums`` is a ``MomentView`` of (nb, S, ...) arrays, one row per batch
+    in the block; ``run_ensemble`` passes views of its table's rows.
 
     ``s`` is the (n, 6) state block (the ensemble passes the transpose of
     its component-first state), ``segments`` the batch start offsets
@@ -407,26 +404,6 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
     sums.apap[:, rec] += np.add.reduceat(apap, segments, axis=0)
     sums.apa[:, rec] += np.add.reduceat(apa, segments, axis=0)
     sums.nn[:, rec] += np.add.reduceat(nn, segments, axis=0)
-
-
-def _run_chunk(params, init, cfg, dt_raw, lo, hi, segments):
-    """Integrate trajectories [lo, hi) and stream per-batch moment sums.
-
-    ``segments`` holds the batch start offsets relative to ``lo`` (chunks
-    always cover whole batches).  A chunk containing diverged
-    trajectories is integrated a second time with those trajectories
-    zero-weighted from t=0, so they never touch any average; the noise
-    streams are counter-based and replay exactly.
-    """
-    n = hi - lo
-    nb = len(segments)
-    sums = _ChunkSums(nb, cfg.n_samples)
-    alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=None)
-    if not alive.all():
-        sums = _ChunkSums(nb, cfg.n_samples)
-        _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=alive)
-    sums.valid = np.add.reduceat(alive.astype(int), segments)
-    return sums, int(n - alive.sum())
 
 
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
@@ -467,6 +444,11 @@ def run_ensemble(params, init, cfg, threads=None):
     divergence signals a configuration fault.  ``threads=None`` takes
     SFGSIM_THREADS (default 1), parsed and checked like the ``threads``
     configuration key.
+
+    Memory: the returned B x S x 42 complex table, allocated once, plus
+    for each chunk in flight its state, ``_Workspace`` and noise buffer
+    (at most NOISE_BLOCK_BYTES for chunks up to 65536 trajectories),
+    whatever the ensemble size or thread count.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -490,26 +472,32 @@ def run_ensemble(params, init, cfg, threads=None):
     per_chunk = max(1, TRAJECTORY_CHUNK // batch_size)
     groups = [(b, min(b + per_chunk, B)) for b in range(0, B, per_chunk)]
 
-    table = {name: np.zeros((B, S) + tail, dtype=complex)
-             for name, tail in (("a", (3,)), ("ap", (3,)), ("aa", (3, 3)),
-                                ("apap", (3, 3)), ("apa", (3, 3)), ("nn", (3, 3)))}
+    tables = [np.zeros((B, S) + tail, dtype=complex)
+              for tail in ((3,), (3,), (3, 3), (3, 3), (3, 3), (3, 3))]
     valid = np.zeros(B, dtype=int)
     diverged = np.zeros(len(groups), dtype=int)
 
     def do_group(gi):
+        # _batch_bounds gives the extra trajectories to the first batches,
+        # so a group's nonempty batches are a prefix of its rows; the empty
+        # ones keep zeros (reduceat needs strictly advancing offsets)
         b_lo, b_hi = groups[gi]
+        rows = slice(b_lo, b_lo + np.count_nonzero(counts[b_lo:b_hi]))
         lo, hi = bounds[b_lo], bounds[b_hi]
         if hi == lo:
             return
-        segments = (bounds[b_lo:b_hi] - lo).astype(np.intp)
-        # reduceat needs strictly advancing offsets; empty batches keep zeros
-        keep = np.concatenate([np.diff(segments) > 0, [hi - lo > segments[-1]]])
-        sums, n_div = _run_chunk(params, init, cfg, dt_raw, lo, hi, segments[keep])
-        rows = np.arange(b_lo, b_hi)[keep]
-        for name, part in zip(("a", "ap", "aa", "apap", "apa", "nn"), sums.tables()):
-            table[name][rows] = part
-        valid[rows] = sums.valid
-        diverged[gi] = n_div
+        segments = bounds[rows] - lo
+        sums = MomentView(*(t[rows] for t in tables))
+        alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=None)
+        if not alive.all():
+            # integrate again with the diverged trajectories zero-weighted
+            # from t=0, so they never touch any average; the noise streams
+            # are counter-based and replay exactly
+            for t in tables:
+                t[rows] = 0
+            _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=alive)
+        valid[rows] = np.add.reduceat(alive.astype(int), segments)
+        diverged[gi] = hi - lo - np.count_nonzero(alive)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -527,27 +515,15 @@ def run_ensemble(params, init, cfg, threads=None):
             n_traj=cfg.n_traj,
         )
 
-    def mean(arr):
-        shape = (B,) + (1,) * (arr.ndim - 1)
-        w = np.where(valid > 0, valid, 1).reshape(shape).astype(float)
-        out = arr / w
-        out[valid == 0] = np.nan
-        return out
+    # batch means, divided in place; a batch with no survivor reads NaN
+    w = np.where(valid > 0, valid, 1).astype(float)
+    for t in tables:
+        np.divide(t, w.reshape((B,) + (1,) * (t.ndim - 1)), out=t)
+        t[valid == 0] = np.nan
 
-    return MomentTable(
-        times=cfg.sample_times(),
-        batch_counts=counts,
-        batch_valid=valid.copy(),
-        a=mean(table["a"]),
-        ap=mean(table["ap"]),
-        aa=mean(table["aa"]),
-        apap=mean(table["apap"]),
-        apa=mean(table["apa"]),
-        nn=mean(table["nn"]),
-        n_diverged=n_diverged,
-        config=cfg,
-        params=params,
-    )
+    return MomentTable(cfg.sample_times(), counts, valid,
+                       **dict(zip(MomentView.__slots__, tables)),
+                       n_diverged=n_diverged, config=cfg, params=params)
 
 
 def semiclassical_trajectory(params, init, cfg):

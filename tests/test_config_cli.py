@@ -6,6 +6,7 @@ import os
 import string
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,15 +219,23 @@ def test_flags_parse_like_config_keys():
      "whole number of steps"),
     (["simulate", "--n-traj", "8", "--t-max", "0.001", "--dt", "0.0005"], {},
      "sample_stride (10) exceeds the 2 steps"),
+    (["reproduce", "fig4", "--eps1", "1e200"], {}, "--eps1"),
+    (["steady", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
+    (["spectrum", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
+    (["steady", "--eps1", "1e200", "--eps2", "5e199"], {}, "overflowed float64"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
-        "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid"])
+        "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
+        "reproduce-physics-flag", "steady-huge-symmetric-pump",
+        "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    assert cli.main(argv) == cli.EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err

@@ -1,5 +1,7 @@
 """Integrator correctness, ensemble statistics and reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,15 +117,17 @@ def test_seed_determinism_and_thread_independence():
 TABLES = ("a", "ap", "aa", "apap", "apa", "nn", "batch_valid")
 
 
-@pytest.mark.parametrize("case", ["finite", "replayed"])
+@pytest.mark.parametrize("case", ["finite", "replayed", "empty-batches"])
 def test_chunk_width_does_not_change_results(case, monkeypatch):
     # chunks cover whole batches and every trajectory owns its noise
     # stream, so the tables are bit-identical for any chunk width and
     # thread count; in the second case chunks holding a diverged
-    # trajectory are integrated again with it zero-weighted
-    if case == "finite":
+    # trajectory are integrated again with it zero-weighted; in the third
+    # some chunks end in empty batches and others hold nothing, while
+    # every chunk writes its own rows of one shared table
+    if case != "replayed":
         p, init = TW, sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
-        cfg = tw_config(n_traj=200, n_batches=8, t_max=0.02)
+        cfg = tw_config(n_traj=200 if case == "finite" else 5, n_batches=8, t_max=0.02)
     else:
         monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
         p = sf.SystemParams.travelling_wave(0.1)
@@ -134,6 +138,9 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
     ref = sf.run_ensemble(p, init, cfg, threads=1)
     if case == "replayed":
         assert 0 < ref.n_diverged < cfg.n_batches  # some batches replay, others not
+    if case == "empty-batches":
+        assert ref.batch_counts.tolist() == [1] * 5 + [0] * 3
+        assert np.isnan(ref.aa[5:]).all() and np.isfinite(ref.aa[:5]).all()
     for width in (batch, 3 * batch, trajectories.TRAJECTORY_CHUNK, cfg.n_traj):
         monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", width)
         for threads in (1, 3):
@@ -142,6 +149,77 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
             for name in TABLES:
                 assert np.array_equal(getattr(m, name), getattr(ref, name),
                                       equal_nan=True), (width, threads, name)
+
+
+def stacked_combine(arr, batch_valid):
+    """The batch combination as one stacked expression: the reference."""
+    idx = np.nonzero(batch_valid > 0)[0]
+    w = batch_valid[idx].astype(float)
+    shape = (-1,) + (1,) * (arr.ndim - 1)
+    return (arr[idx] * w.reshape(shape)).sum(axis=0) / w.sum()
+
+
+def test_global_view_is_the_stacked_combination_bit_for_bit():
+    # the running total starts from +0 and adds batch rows in order, as
+    # numpy's sum over axis 0 does, so signed zeros, infinities and the
+    # NaN rows of empty batches come out bit for bit the same
+    rng = np.random.default_rng(7)
+    cfg = tw_config()
+    for trial in range(60):
+        B, S = int(rng.integers(2, 70)), int(rng.integers(1, 40))
+        valid = rng.integers(0, 4, B) * int(rng.integers(1, 3000))
+        if trial % 6 == 0:
+            valid[:] = 0
+        tables = []
+        for tail in ((3,), (3,), (3, 3), (3, 3), (3, 3), (3, 3)):
+            shape = (B, S) + tail
+            arr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+                * 10.0 ** rng.integers(-300, 300, size=shape)
+            for value, share in ((complex(-0.0, -0.0), 0.1), (complex(0.0, -0.0), 0.05),
+                                 (complex(np.inf, 1.0), 0.01)):
+                arr[rng.random(shape) < share] = value
+            arr[valid == 0] = np.nan
+            tables.append(arr)
+        m = trajectories.MomentTable(cfg.sample_times()[:1], valid, valid, *tables,
+                                     n_diverged=0, config=cfg, params=TW)
+        with np.errstate(all="ignore"):
+            got = m.global_view()
+            for name, arr in zip(TABLES, tables):
+                want = stacked_combine(arr, valid)
+                assert np.array_equal(getattr(got, name).view(np.uint64),
+                                      want.view(np.uint64)), (trial, name)
+        if not valid.any():
+            assert all(np.isnan(getattr(got, name)).all() for name in TABLES[:6])
+    # a fig-sized table takes the same path
+    valid = np.arange(64) % 5
+    arr = rng.standard_normal((64, 1601, 3, 3)) + 1j * rng.standard_normal((64, 1601, 3, 3))
+    m = trajectories.MomentTable(None, valid, valid, arr, arr, arr, arr, arr, arr,
+                                 n_diverged=0, config=cfg, params=TW)
+    assert np.array_equal(m._combine(arr), stacked_combine(arr, valid))
+
+
+def test_ensemble_memory_is_one_moment_table():
+    # reproduce-shaped: 256 trajectories in 64 batches, 400 samples; the
+    # ensemble holds its one B x S x 42 complex table plus one chunk's
+    # state, _Workspace and noise buffer, and a witness adds only a small
+    # part of the table (both about 2x at a copy per group and per view)
+    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+    cfg = tw_config(n_traj=256, n_batches=64, t_max=399 * 5e-4, sample_stride=1)
+    table_bytes = 64 * cfg.n_samples * 42 * 16
+    chunk_bytes = 40 * 256 * 16 + trajectories.NOISE_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        m = sf.run_ensemble(TW, init, cfg, threads=1)
+        _, ensemble_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        sf.correlations.epr_product(m, 1, 2)
+        _, witness_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.n_samples == 400 and m.n_diverged == 0
+    assert ensemble_peak < 1.25 * table_bytes + chunk_bytes
+    assert witness_peak - before < 0.25 * table_bytes
 
 
 @pytest.mark.parametrize("case", ["finite", "replayed"])
