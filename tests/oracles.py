@@ -4,10 +4,10 @@ Everything here reimplements the target quantity through a different
 route than the library: damped fixed-point iteration and scipy root
 finding for steady states, the flow and the fixed-point equations written
 out for the drift kernel and the residual, a per-trajectory scalar
-integrator for the ensemble engine, a per-frequency loop for the batched
-spectral sweep, periodogram averaging of a directly simulated linear SDE
-for the spectral formula, and Wick closure for Gaussian moment closed
-forms.
+integrator for the ensemble engine, one stacked expression for its batch
+combination, a per-frequency loop for the batched spectral sweep,
+periodogram averaging of a directly simulated linear SDE for the
+spectral formula, and Wick closure for Gaussian moment closed forms.
 """
 
 import numpy as np
@@ -210,6 +210,14 @@ def scalar_reference_batch_means(states, n_batches):
         means[counts > 0] = sums / counts[counts > 0].reshape((-1,) + (1,) * (arr.ndim - 1))
         out[name] = means
     return out, counts
+
+
+def stacked_combine(arr, batch_valid):
+    """Survivor-weighted mean over batches as one stacked expression."""
+    idx = np.nonzero(batch_valid > 0)[0]
+    w = batch_valid[idx].astype(float)
+    shape = (-1,) + (1,) * (arr.ndim - 1)
+    return (arr[idx] * w.reshape(shape)).sum(axis=0) / w.sum()
 
 
 # ---------------------------------------------------------------------------

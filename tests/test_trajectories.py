@@ -151,14 +151,6 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
                                       equal_nan=True), (width, threads, name)
 
 
-def stacked_combine(arr, batch_valid):
-    """The batch combination as one stacked expression: the reference."""
-    idx = np.nonzero(batch_valid > 0)[0]
-    w = batch_valid[idx].astype(float)
-    shape = (-1,) + (1,) * (arr.ndim - 1)
-    return (arr[idx] * w.reshape(shape)).sum(axis=0) / w.sum()
-
-
 def test_global_view_is_the_stacked_combination_bit_for_bit():
     # the running total starts from +0 and adds batch rows in order, as
     # numpy's sum over axis 0 does, so signed zeros, infinities and the
@@ -180,12 +172,12 @@ def test_global_view_is_the_stacked_combination_bit_for_bit():
                 arr[rng.random(shape) < share] = value
             arr[valid == 0] = np.nan
             tables.append(arr)
-        m = trajectories.MomentTable(cfg.sample_times()[:1], valid, valid, *tables,
+        m = trajectories.MomentTable(None, valid, valid, *tables,
                                      n_diverged=0, config=cfg, params=TW)
         with np.errstate(all="ignore"):
             got = m.global_view()
             for name, arr in zip(TABLES, tables):
-                want = stacked_combine(arr, valid)
+                want = oracles.stacked_combine(arr, valid)
                 assert np.array_equal(getattr(got, name).view(np.uint64),
                                       want.view(np.uint64)), (trial, name)
         if not valid.any():
@@ -195,7 +187,7 @@ def test_global_view_is_the_stacked_combination_bit_for_bit():
     arr = rng.standard_normal((64, 1601, 3, 3)) + 1j * rng.standard_normal((64, 1601, 3, 3))
     m = trajectories.MomentTable(None, valid, valid, arr, arr, arr, arr, arr, arr,
                                  n_diverged=0, config=cfg, params=TW)
-    assert np.array_equal(m._combine(arr), stacked_combine(arr, valid))
+    assert np.array_equal(m._combine(arr), oracles.stacked_combine(arr, valid))
 
 
 def test_ensemble_memory_is_one_moment_table():
