@@ -102,19 +102,20 @@ def build_parser():
 
 def _merge_config(args):
     """File values first, then explicit flags; checks the output directory."""
+    values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = cfgmod.parse_config(fh.read())
-    else:
-        cfg = cfgmod.RunConfig()
+            values = cfgmod.config_values(fh.read())
+    cfg = cfgmod.RunConfig(**values).validate()
     cfg.command = args.command
     for key in _SUBCOMMANDS[args.command][1]:
         if hasattr(args, key):
             setattr(cfg, key, getattr(args, key))
     if args.command == "reproduce":
-        # a preset runs its own parameters, so a physics flag would be
-        # recorded in the sidecar beside data not computed with it
-        ignored = ["--" + key for key in _PHYSICS_KEYS if hasattr(args, key)]
+        # a preset runs its own parameters, so a physics flag or file key
+        # would be recorded in the sidecar beside data not computed with it
+        ignored = (["--" + key for key in _PHYSICS_KEYS if hasattr(args, key)]
+                   + [f"{key} in {args.config}" for key in _PHYSICS_KEYS if key in values])
         if ignored:
             raise ConfigError(f"reproduce runs the preset's own parameters; "
                               f"{', '.join(ignored)} cannot change them")
@@ -251,12 +252,7 @@ def _cmd_simulate(cfg):
     table = trajectories.run_ensemble(params, init, tcfg, threads=cfg.threads)
     axis = "zeta" if tcfg.mode == "travelling-wave" else "t"
     inten, se = table.intensities()
-    columns = {
-        axis: table.times,
-        "n1": inten[:, 0], "n1_se": se[:, 0],
-        "n2": inten[:, 1], "n2_se": se[:, 1],
-        "n3": inten[:, 2], "n3_se": se[:, 2],
-    }
+    columns = {axis: table.times, **presetsmod.intensity_columns(inten, se)}
     series = [
         ("vx3", lambda: corr.quadrature_variance(table, corr.QuadratureSpec.x(3))),
         ("fano_n1n2", lambda: corr.fano_sum(table)),
@@ -344,17 +340,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
-        if cfg.command == "steady":
-            return _cmd_steady(cfg)
-        if cfg.command == "stability-map":
-            return _cmd_stability_map(cfg)
-        if cfg.command == "spectrum":
-            return _cmd_spectrum(cfg)
-        if cfg.command == "simulate":
-            return _cmd_simulate(cfg)
         if cfg.command == "reproduce":
-            return _cmd_reproduce(cfg, plot_script=getattr(args, "plot_script", False))
-        raise ConfigError(f"unhandled command {cfg.command!r}")
+            return _cmd_reproduce(cfg, plot_script=args.plot_script)
+        return {"steady": _cmd_steady, "stability-map": _cmd_stability_map,
+                "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg)
     except UnstableOperatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

@@ -139,6 +139,11 @@ def parse_config(text) -> RunConfig:
     Later assignments override earlier ones; errors carry the offending
     line number.
     """
+    return RunConfig(**config_values(text)).validate()
+
+
+def config_values(text):
+    """The keys ``text`` sets, parsed, as a dict; ``parse_config`` without defaults."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,7 +159,7 @@ def parse_config(text) -> RunConfig:
             values[key] = _parse_value(key, val)
         except ConfigError as exc:
             raise ConfigError(str(exc), line=lineno) from None
-    return RunConfig(**values).validate()
+    return values
 
 
 def _render_value(value):

@@ -11,6 +11,7 @@ semiclassical prediction breaks down.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,10 +60,10 @@ class FigurePreset:
     description: str
     parameters: dict         # parameter table the runner builds from, one entry per curve
     default_n_traj: int | None
+    runner: Callable         # runner(preset, n_traj=, seed=, threads=) -> PresetResult
 
     def run(self, n_traj=None, seed=None, threads=None):
-        runner = _RUNNERS[self.name]
-        return runner(self, n_traj=n_traj, seed=seed, threads=threads)
+        return self.runner(self, n_traj=n_traj, seed=seed, threads=threads)
 
 
 def _tw_config(n_traj, seed):
@@ -81,6 +82,11 @@ def travelling_wave_ensemble(n_traj, seed=None, threads=None):
     return trajectories.run_ensemble(params, init, cfg, threads=threads)
 
 
+def intensity_columns(inten, se):
+    """The n1, n1_se, n2, n2_se, n3, n3_se columns of ``MomentTable.intensities()``."""
+    return {f"n{j + 1}{tail}": v[:, j] for j in range(3) for tail, v in (("", inten), ("_se", se))}
+
+
 def _sig(values, se, bound):
     """Largest margin (in SE units) by which values fall below a bound."""
     good = se > 0
@@ -94,11 +100,7 @@ def _run_fig1(preset, n_traj=None, seed=None, threads=None, table=None):
         table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
     inten, se = table.intensities()
     t = table.times
-    cols = {
-        "n1": inten[:, 0], "n1_se": se[:, 0],
-        "n2": inten[:, 1], "n2_se": se[:, 1],
-        "n3": inten[:, 2], "n3_se": se[:, 2],
-    }
+    cols = intensity_columns(inten, se)
 
     checks = []
     # photon-exchange conservation over the early window
@@ -300,15 +302,8 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
         Check("sum-frequency mean falls below semiclassical point", z3 > 3.0,
               f"n3 below fixed point by {z3:.1f} SE (need > 3)"),
     ]
-    cols = {
-        "t": table.times,
-        "n1": inten[:, 0], "n1_se": se[:, 0],
-        "n2": inten[:, 1], "n2_se": se[:, 1],
-        "n3": inten[:, 2], "n3_se": se[:, 2],
-        "semiclassical_n1": sc_n[:, 0],
-        "semiclassical_n2": sc_n[:, 1],
-        "semiclassical_n3": sc_n[:, 2],
-    }
+    cols = {"t": table.times, **intensity_columns(inten, se),
+            **{f"semiclassical_n{j + 1}": sc_n[:, j] for j in range(3)}}
     return PresetResult(
         name=preset.name, axis_name="t", axis_unit="1/gamma1",
         columns=cols,
@@ -318,17 +313,6 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
         checks=checks,
     )
 
-
-_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-}
 
 _TW_PARAMS = {"kappa": TW_KAPPA, "alpha1_0": TW_ALPHA0, "alpha2_0": TW_ALPHA0,
               "alpha3_0": 0.0}
@@ -342,40 +326,40 @@ PRESETS = {
     "fig1": FigurePreset(
         "fig1",
         "travelling-wave mean intensities: conversion and quantum reconversion",
-        {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig1,
     ),
     "fig2": FigurePreset(
         "fig2",
         "travelling-wave squeezing of X3 and Fano factor of the intensity sum",
-        {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig2,
     ),
     "fig3": FigurePreset(
         "fig3",
         "travelling-wave joint-quadrature and inferred-variance entanglement",
-        {"run": _TW_PARAMS}, TW_N_TRAJ,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig3,
     ),
     "fig4": FigurePreset(
         "fig4", "output squeezing spectra of X3 versus drive strength",
-        _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None, _run_fig4,
     ),
     "fig5": FigurePreset(
         "fig5", "joint-quadrature entanglement spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None, _run_fig5,
     ),
     "fig6": FigurePreset(
         "fig6", "inferred-variance product spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None,
+        _SYM_SPEC_PARAMS, None, _run_fig6,
     ),
     "fig7": FigurePreset(
         "fig7", "steering asymmetry with unequal losses and pumps",
         {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 40.0, "gamma3": 2.0,
                  "eps1": 400.0, "eps2": 2400.0}},
-        None,
+        None, _run_fig7,
     ),
     "fig8": FigurePreset(
         "fig8", "above-threshold cavity dynamics versus the semiclassical prediction",
         {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 10.0,
                  "eps1": 1000.0, "eps2": 1000.0}},
-        CAVITY_N_TRAJ,
+        CAVITY_N_TRAJ, _run_fig8,
     ),
 }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorrelationError, UnstableOperatingPointError
+from .errors import ConvergenceError, CorrelationError, UnstableOperatingPointError
 
 # Margin below which a drift eigenvalue is treated as unstable/marginal.
 STABILITY_TOL = 1e-9
@@ -98,9 +98,17 @@ def diffusion_product(params, ss):
     return D
 
 
+def drift_eigenvalues(A):
+    """Eigenvalues of A; LAPACK giving up (near float64's range) raises ConvergenceError."""
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("drift-matrix eigenvalues did not converge") from None
+
+
 def stability_margin(A):
     """Smallest real part among the eigenvalues of A."""
-    return float(np.linalg.eigvals(A).real.min())
+    return float(drift_eigenvalues(A).real.min())
 
 
 def intracavity_spectrum(A, D, omega):

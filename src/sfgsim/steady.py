@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SteadyStateError
 from .params import SystemParams
-from .spectra import STABILITY_TOL, drift_matrix, drift_matrix_raw
+from .spectra import STABILITY_TOL, drift_eigenvalues, drift_matrix, drift_matrix_raw
 
 # Residual bound every returned steady state must satisfy (see _residual_bound).
 RESIDUAL_TOL = 1e-10
@@ -116,7 +116,7 @@ class StabilityBoundary:
     note: str = ""
 
 
-def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
+def classical_rhs(params, x, out=None):
     """Noise-free right-hand sides over the six phase-space components.
 
     The one copy of the classical flow: ``x`` is a state of shape (6,) or
@@ -124,24 +124,8 @@ def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
     into shape (6, n); the result has its shape.  ``out``, a C-contiguous
     complex array of that shape that does not overlap ``x``, receives the
     rows instead of a new array; a block ``out`` that is not C-contiguous
-    raises ValueError.
-
-    A (6,) state goes through ``flow_rows``.  A block runs those rows
-    stacked, in eight array operations: with y = k x[0:4],
-
-        rows 0-3:  E - G x[0:4] + y[3::-1].reshape(2, 2, n) * x[4:6]
-        rows 4-5:  (-g3) x[4:6] - y[0:2] * x[2:4]
-
-    Each is the written-out operation in its operand order (numpy's fused
-    multiply-add rounds ``a*b`` and ``b*a`` differently), and no product
-    is written over its own input, so an idle mode's ``eps - gamma a`` is
-    +0+0j as written out.  The test
-    ``test_classical_rhs_is_the_written_out_flow_bit_for_bit`` pins blocks
-    of width 1, 7, 256, 2048 and 4097 and 257 (6,) states to the
-    written-out flow, signed zeros included.  The ensemble step passes
-    ``coefficients``, ``block_coefficients(params, n)`` built once per
-    pass, and ``scratch``, a C-contiguous complex (6, n) buffer
-    overlapping neither ``x`` nor ``out``.
+    raises ValueError.  A (6,) state goes through ``flow_rows``, a block
+    through ``block_flow``, which the ensemble step binds once per pass.
     """
     if np.ndim(x) == 1:
         if out is None:
@@ -149,22 +133,48 @@ def classical_rhs(params, x, out=None, coefficients=None, scratch=None):
         out[:] = flow_rows(flow_coefficients(params), *x)
         return out
     x = np.asarray(x)
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    return block_flow(params, x, out, np.empty(x.shape, dtype=complex))()
+
+
+def block_flow(params, x, out, scratch, coefficients=None):
+    """The flow of a (6, n) block ``x`` into ``out``, bound: returns a no-argument callable.
+
+    Eight array operations run the rows stacked: with y = k x[0:4],
+
+        rows 0-3:  E - G x[0:4] + y[3::-1].reshape(2, 2, n) * x[4:6]
+        rows 4-5:  (-g3) x[4:6] - y[0:2] * x[2:4]
+
+    each the written-out operation in its operand order (numpy's fused
+    multiply-add rounds ``a*b`` and ``b*a`` differently), none writing a
+    product over its own input, so an idle mode's ``eps - gamma a`` is
+    +0+0j as written out (``test_classical_rhs_is_the_written_out_flow_bit_for_bit``).
+    Every view of ``x``, ``out`` and ``scratch`` (C-contiguous complex
+    (6, n), none overlapping) is taken here, once: the ensemble step binds
+    a flow to its fixed buffers for a pass and writes each new state into
+    ``x``, since at narrow widths a call costs numpy's per-call overhead,
+    not arithmetic.  ``coefficients`` is ``block_coefficients(params, n)``.
+    """
     n = x.shape[1]
-    E, G, k, mg3 = block_coefficients(params, n) if coefficients is None else coefficients
-    if out is None:
-        out = np.empty((6, n), dtype=complex)
-    elif not out.flags.c_contiguous:
+    if not (out.flags.c_contiguous and scratch.flags.c_contiguous):
         raise ValueError("classical_rhs needs a C-contiguous out")
-    t = np.empty((6, n), dtype=complex) if scratch is None else scratch
-    np.multiply(k, x[0:4], out=t[0:4])
-    np.multiply(t[3::-1].reshape(2, 2, n), x[4:6], out=out[0:4].reshape(2, 2, n))
-    np.multiply(t[0:2], x[2:4], out=t[4:6])
-    np.multiply(mg3, x[4:6], out=out[4:6])
-    np.subtract(out[4:6], t[4:6], out=out[4:6])
-    np.multiply(G, x[0:4], out=t[0:4])
-    np.subtract(E, t[0:4], out=t[0:4])
-    np.add(t[0:4], out[0:4], out=out[0:4])
-    return out
+    E, G, k, mg3 = block_coefficients(params, n) if coefficients is None else coefficients
+    x03, x23, x45 = x[0:4], x[2:4], x[4:6]
+    y, y01, y45, out03, out45 = scratch[0:4], scratch[0:2], scratch[4:6], out[0:4], out[4:6]
+    y_swapped, out_pairs = y[::-1].reshape(2, 2, n), out03.reshape(2, 2, n)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+
+    def flow():
+        multiply(k, x03, y)
+        multiply(y_swapped, x45, out_pairs)
+        multiply(y01, x23, y45)
+        multiply(mg3, x45, out45)
+        subtract(out45, y45, out45)
+        multiply(G, x03, y)
+        subtract(E, y, y)
+        add(y, out03, out03)
+        return out
+    return flow
 
 
 def flow_coefficients(params):
@@ -196,11 +206,12 @@ def block_coefficients(params, n):
     """(E, G, k, -g3) for an n-wide block; E and G are (4, n), filled.
 
     E = (eps1, eps1*, eps2, eps2*) and G = (g1, g1, g2, g2) by row.
-    Filled rows, because numpy broadcasts a (4, 1) column more slowly.
+    Filled rows, because numpy broadcasts a (4, 1) column more slowly, and
+    k and -g3 as 0-d arrays, which a ufunc takes without converting a scalar.
     """
     k, g1, g2, mg3, e1, e1c, e2, e2c = flow_coefficients(params)
     E, G = np.repeat([[[e1], [e1c], [e2], [e2c]], [[g1], [g1], [g2], [g2]]], n, axis=2)
-    return E, G, k, mg3
+    return E, G, np.array(k), np.array(mg3)
 
 
 def residual_norm(params, alpha1, alpha2, alpha3):
@@ -415,7 +426,7 @@ def stability(params: SystemParams, ss: SteadyStateSolution | None = None) -> St
     """Numeric eigenvalue stability of the steady state."""
     if ss is None:
         ss = solve_steady(params)
-    eig = np.linalg.eigvals(drift_matrix(params, ss))
+    eig = drift_eigenvalues(drift_matrix(params, ss))
     order = np.lexsort((eig.imag, eig.real))
     eig = eig[order]
     margin = float(eig.real.min())

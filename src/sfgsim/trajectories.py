@@ -15,14 +15,17 @@ with w1..w4 independent standard normals per step and the principal
 complex square root.  Because the noise coefficients depend only on the
 noiseless components a3/a3+, the Ito and Stratonovich readings coincide
 and a semi-implicit midpoint step integrates the drift at second order
-with no interpretation bias.  The drift is ``steady.classical_rhs``, the
-steady-state solver's flow; to share it, a block of n trajectories is
-held component-first, as a (6, n) array.
+with no interpretation bias.  The drift is ``steady.block_flow``, the
+block path of the steady-state solver's flow ``classical_rhs``; to share
+it, a block of n trajectories is held component-first, as a (6, n) array.
 
-The step runs in place on buffers each pass allocates once (``_Workspace``
-and one noise block), and trajectories are processed in chunks of about
-TRAJECTORY_CHUNK so that the state and its workspace stay in the core's
-cache across the midpoint iterations.  Every complex product is written
+Each pass binds its step once (``_midpoint_step``): the state, its
+buffers and one noise block are fixed for the pass, so every view, both
+bound drifts and the scalars are built once and a step is only its ufunc
+calls, since at the figures' 256-400 widths a call costs numpy's per-call
+overhead more than arithmetic.  Trajectories are processed in chunks of
+about TRAJECTORY_CHUNK so that the state and its buffers stay in the
+core's cache across the midpoint iterations.  Every complex product is written
 to a buffer distinct from its operands, in the operand order of the
 written-out scheme: numpy's complex multiply may round ``a*b`` and
 ``b*a``, or a product written over its own input, differently in the
@@ -63,7 +66,7 @@ from .config import _parse_value
 from .errors import ConfigError, EnsembleQualityError, ParameterError
 from .noise import NOISES_PER_STEP, draw_block, trajectory_generator
 from .params import SystemParams
-from .steady import block_coefficients, classical_rhs, flow_coefficients, flow_rows
+from .steady import block_coefficients, block_flow, flow_coefficients, flow_rows
 
 # Any amplitude beyond this magnitude flags the trajectory as diverged;
 # roughly 1e5 times the largest physical amplitude of interest here.
@@ -78,14 +81,14 @@ MAX_DIVERGED_FRACTION = 1e-4
 # Vectorization width target: whole batches are grouped into processing
 # chunks of roughly this many trajectories.  Performance only - batch
 # sums are computed per batch segment, so results never depend on it.
-# At 2048 a chunk's state and workspace (about 1.1 MB of complex arrays)
+# At 2048 a chunk's state and step buffers (about 1.1 MB of complex arrays)
 # stay in cache through the three midpoint iterations; much wider chunks
 # stream every elementwise operation through memory, much narrower ones
 # pay numpy's per-call overhead.  A 16384-trajectory, 256-step
-# travelling-wave ensemble on one thread, 32 noise steps per draw, six
-# runs per width on a shared 2-core host: 2.5-2.9 s at 2048, 2.3-2.8 s at
-# 4096, 2.6-2.9 s at 8192, 2.7-3.3 s at 1024, 3.1-3.5 s at 32768 and
-# 3.5-4.0 s at 512.
+# travelling-wave ensemble, one thread, two sets of eight interleaved runs
+# on a shared 2-core host, median s: 1.75 and 1.94 at 1024, 1.88 and 1.94
+# at 2048 (quartile spread 0.11-0.24), 2.05 and 2.23 at 4096; before the
+# step was bound once per pass, 8192, 32768 and 512 ran 4-40% slower.
 TRAJECTORY_CHUNK = 2048
 
 # Byte budget of a pass's reused noise buffer.  Each draw_block call fills
@@ -283,54 +286,52 @@ class MomentTable:
         return value, np.real(se)
 
 
-class _Workspace:
-    """Drift coefficients and scratch buffers for ``_advance``, built once per pass."""
+def _midpoint_step(params, s, dt):
+    """The semi-implicit midpoint step of the (6, n) complex block ``s``, bound.
 
-    __slots__ = ("flow", "m", "F", "t", "pairs", "amp", "root_amp")
-
-    def __init__(self, params, n):
-        self.flow = block_coefficients(params, n)
-        # midpoint, drift at the midpoint, products (never their own inputs)
-        self.m, self.F, self.t = np.empty((3, 6, n), dtype=complex)
-        # noise pairs w0 + i w2, w1 + i w3, w0 - i w2, w1 - i w3
-        self.pairs = np.empty((4, n), dtype=complex)
-        # sqrt(kappa/2 (m3, m3+)); sqrt(dt) times that
-        self.amp, self.root_amp = np.empty((2, 2, n), dtype=complex)
-
-
-def _advance(params, s, dt, w, ws):
-    """One semi-implicit midpoint step for a block of trajectories, in place.
-
-    ``s`` is the component-first state block, shape (6, n) complex, and
-    ``w`` holds four standard normals per trajectory, shape (4, n); pass
-    zeros for the deterministic flow.  ``ws`` is a ``_Workspace(params, n)``.
-    Three fixed-point iterations locate the drift midpoint m, the step
-    completes as 2m - s (second-order deterministic part), and the noise
-    amplitudes are evaluated at m; no Stratonovich correction is needed
-    because the noise coefficients ride on the noiseless components only.
+    The returned callable advances ``s`` in place by one step, given
+    ``w``, four standard normals per trajectory, shape (4, n); pass zeros
+    for the deterministic flow.  Three fixed-point iterations locate the
+    drift midpoint m, the step completes as 2m - s (second-order
+    deterministic part), and the noise amplitudes are evaluated at m; no
+    Stratonovich correction is needed because the noise coefficients ride
+    on the noiseless components only.
     """
-    half = 0.5 * dt
-    m, F, t = ws.m, ws.F, ws.t
-    x = s
-    for _ in range(MIDPOINT_ITERATIONS):
-        classical_rhs(params, x, out=F, coefficients=ws.flow, scratch=t)
-        np.multiply(half, F, out=t)
-        np.add(s, t, out=m)
-        x = m
-    np.multiply(2.0, m, out=t)
-    np.subtract(t, s, out=s)
-
-    pairs = ws.pairs
-    parts = pairs[0:2].view(float)
-    parts[:, 0::2] = w[0:2]
-    parts[:, 1::2] = w[2:4]
-    np.conjugate(pairs[0:2], out=pairs[2:4])
-    np.multiply(0.5 * params.kappa, m[4:6], out=ws.amp)
-    np.sqrt(ws.amp, out=ws.amp)
-    np.multiply(np.sqrt(dt), ws.amp, out=ws.root_amp)
+    n = s.shape[1]
+    # midpoint, drift at the midpoint, products (never their own inputs)
+    m, F, t = np.empty((3, 6, n), dtype=complex)
+    # noise pairs w0 + i w2, w1 + i w3, w0 - i w2, w1 - i w3
+    pairs = np.empty((4, n), dtype=complex)
+    # sqrt(kappa/2 (m3, m3+)); sqrt(dt) times that
+    amp, root_amp = np.empty((2, 2, n), dtype=complex)
+    flow = block_coefficients(params, n)
+    drifts = (block_flow(params, s, F, t, flow),
+              *[block_flow(params, m, F, t, flow)] * (MIDPOINT_ITERATIONS - 1))
+    half, two, root, half_kappa = (np.array(c, dtype=complex)
+                                   for c in (0.5 * dt, 2.0, np.sqrt(dt), 0.5 * params.kappa))
+    parts, plus_pairs, minus_pairs = pairs[0:2].view(float), pairs[0:2], pairs[2:4]
+    re_parts, im_parts, m3, s03, t03 = parts[:, 0::2], parts[:, 1::2], m[4:6], s[0:4], t[0:4]
     # rows 0 and 2 take the a3 amplitude, rows 1 and 3 the a3+ one
-    np.multiply(ws.root_amp, pairs.reshape(2, 2, -1), out=t[0:4].reshape(2, 2, -1))
-    np.add(s[0:4], t[0:4], out=s[0:4])
+    quad_pairs, kicks = pairs.reshape(2, 2, n), t03.reshape(2, 2, n)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    conjugate, sqrt = np.conjugate, np.sqrt
+
+    def advance(w):
+        for drift in drifts:
+            drift()
+            multiply(half, F, t)
+            add(s, t, m)
+        multiply(two, m, t)
+        subtract(t, s, s)
+        re_parts[...] = w[0:2]
+        im_parts[...] = w[2:4]
+        conjugate(plus_pairs, minus_pairs)
+        multiply(half_kappa, m3, amp)
+        sqrt(amp, amp)
+        multiply(root, amp, root_amp)
+        multiply(root_amp, quad_pairs, kicks)
+        add(s03, t03, s03)
+    return advance
 
 
 def step(params, state, dt, noise):
@@ -341,7 +342,7 @@ def step(params, state, dt, noise):
     """
     s = state.as_array().reshape(6, 1)
     w = np.asarray(noise, dtype=float).reshape(4, 1)
-    _advance(params, s, dt, w, _Workspace(params, 1))
+    _midpoint_step(params, s, dt)(w)
     return PhaseSpacePoint(*s[:, 0])
 
 
@@ -409,7 +410,7 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     n = hi - lo
     s = np.repeat(init.as_array()[:, None], n, axis=1)
-    ws = _Workspace(params, n)
+    advance = _midpoint_step(params, s, dt_raw)
     alive = np.ones(n, dtype=bool)
     accumulate_sample(sums, 0, s.T, segments, keep)
     gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
@@ -419,12 +420,14 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     n_steps = (cfg.n_samples - 1) * stride
     per_draw = NOISE_BLOCK_BYTES // (n * NOISES_PER_STEP * 8)
     buf = np.empty((n, max(1, min(per_draw, n_steps)), NOISES_PER_STEP))
+    draws = [buf[:, k, :].T for k in range(buf.shape[1])]
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
-            noise = draw_block(gens, min(buf.shape[1], n_steps - done), out=buf)
-            for k in range(noise.shape[1]):
-                _advance(params, s, dt_raw, noise[:, k, :].T, ws)
+            count = min(len(draws), n_steps - done)
+            draw_block(gens, count, out=buf)
+            for w in draws[:count]:
+                advance(w)
                 done += 1
                 if done % stride == 0:
                     alive &= _alive_mask(s)
@@ -446,7 +449,7 @@ def run_ensemble(params, init, cfg, threads=None):
     configuration key.
 
     Memory: the returned B x S x 42 complex table, allocated once, plus
-    for each chunk in flight its state, ``_Workspace`` and noise buffer
+    for each chunk in flight its state, step buffers and noise buffer
     (at most NOISE_BLOCK_BYTES for chunks up to 65536 trajectories),
     whatever the ensemble size or thread count.
     """
@@ -529,7 +532,7 @@ def run_ensemble(params, init, cfg, threads=None):
 def semiclassical_trajectory(params, init, cfg):
     """Deterministic mean-field path on the ensemble's sample grid.
 
-    The midpoint step of ``_advance`` with the noise zero, on Python
+    The midpoint step of ``_midpoint_step`` with the noise zero, on Python
     complex scalars (see the module docstring); returns ``(times, states)``
     with states of shape (S, 6).  Every step is checked against the
     divergence guard.  The noise term is left out: with w = 0 it adds a

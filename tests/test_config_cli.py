@@ -203,6 +203,10 @@ def test_flags_parse_like_config_keys():
     assert args.dt is None
 
 
+_EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.5522741296682337e+147",
+                     "--kappa", "0.00032551553208383485", "--gamma3", "46.40049509591873"]
+
+
 @pytest.mark.parametrize("argv, env, needle", [
     (["steady", "--eps1", "nan", "--eps2", "nan"], {}, "eps1 is finite"),
     (["steady", "--kappa", "inf"], {}, "kappa is finite"),
@@ -223,14 +227,22 @@ def test_flags_parse_like_config_keys():
     (["steady", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
     (["spectrum", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
     (["steady", "--eps1", "1e200", "--eps2", "5e199"], {}, "overflowed float64"),
+    # LAPACK's eigenvalue iteration gives up on this drift matrix
+    (["steady", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
+    (["spectrum", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
+    (["reproduce", "fig4", "--config", "physics.cfg"], {},
+     "kappa in physics.cfg, eps1 in physics.cfg"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
-        "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump"])
+        "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
+        "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
+        "reproduce-physics-config-key"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     with warnings.catch_warnings():

@@ -216,16 +216,18 @@ def test_classical_rhs_is_the_written_out_flow_bit_for_bit(eps1, eps2, gamma1, g
     # a body and a remainder by width, and the stacked rows run as longer
     # loops than the written-out ones.  Generic values as well, whose
     # products round: numpy's fused multiply-add rounds (k a) b and
-    # b (k a) differently, so they pin the operand order
+    # b (k a) differently, so they pin the operand order.  A flow bound
+    # once, as the ensemble step binds it, reads whatever its x holds
     generic = np.random.default_rng(29).normal(scale=40.0, size=(2, 6, 2048))
-    for states in (x, generic[0] + 1j * generic[1]):
-        for width in (1, 7, 256, 2048):
+    for width in (1, 7, 256, 2048):
+        bound, out, scratch = np.empty((3, 6, width), dtype=complex)
+        flow = steady.block_flow(p, bound, out, scratch, steady.block_coefficients(p, width))
+        for states in (x, generic[0] + 1j * generic[1]):
             block = np.ascontiguousarray(states[:, -width:])
             want = oracles.classical_rhs_written_out(p, block)
             assert _same_bits(steady.classical_rhs(p, block), want), width
-            out, scratch = np.empty((2, 6, width), dtype=complex)
-            steady.classical_rhs(p, block, out=out, scratch=scratch,
-                                 coefficients=steady.block_coefficients(p, width))
+            bound[...] = block
+            assert flow() is out
             assert _same_bits(out, want), width
     # (6,) states go through numpy's scalar arithmetic
     for j in [*range(0, 4096, 16), 4096]:

@@ -303,10 +303,18 @@ def test_different_seed_changes_results():
     assert not np.array_equal(m1.aa, m2.aa)
 
 
-@pytest.mark.parametrize("n_traj,n_batches", [(8, 64), (8, 2), (6, 4)])
-def test_small_ensemble_matches_scalar_reference_exactly(n_traj, n_batches):
+# the last case runs 14 steps drawn three at a time, so one bound step
+# advances the state through several draws into its reused noise buffer
+@pytest.mark.parametrize("n_traj,n_batches,n_steps,block_steps",
+                         [(8, 64, 3, None), (8, 2, 3, None), (6, 4, 3, None), (6, 4, 14, 3)],
+                         ids=["8-64", "8-2", "6-4", "6-4-14-steps-3-per-draw"])
+def test_small_ensemble_matches_scalar_reference_exactly(n_traj, n_batches, n_steps,
+                                                         block_steps, monkeypatch):
+    if block_steps:
+        monkeypatch.setattr(trajectories, "NOISE_BLOCK_BYTES",
+                            block_steps * n_traj * trajectories.NOISES_PER_STEP * 8)
     init = sf.PhaseSpacePoint.coherent(alpha1=400.0, alpha2=300.0, alpha3=-2.0)
-    cfg = tw_config(n_traj=n_traj, n_batches=n_batches, t_max=15e-4, dt=5e-4,
+    cfg = tw_config(n_traj=n_traj, n_batches=n_batches, t_max=n_steps * 5e-4, dt=5e-4,
                     sample_stride=1)
     m = sf.run_ensemble(TW, init, cfg)
     states = oracles.scalar_reference_states(TW, init, cfg)
@@ -319,16 +327,27 @@ def test_small_ensemble_matches_scalar_reference_exactly(n_traj, n_batches):
         assert np.array_equal(got[ok], want[ok]), name
 
 
-def test_scalar_reference_also_matches_cavity_mode():
-    p = sf.SystemParams(0.01, 1.0, 1.0, 10.0, 200.0, 200.0)
-    init = sf.PhaseSpacePoint.vacuum()
-    cfg = sf.TrajectoryConfig(dt=1e-3, t_max=3e-3, n_traj=5, seed=3,
-                              sample_stride=1, mode="cavity", n_batches=5)
-    m = sf.run_ensemble(p, init, cfg)
-    states = oracles.scalar_reference_states(p, init, cfg)
-    means, counts = oracles.scalar_reference_batch_means(states, 5)
-    for name in ("a", "ap", "aa", "apap", "apa", "nn"):
-        assert np.array_equal(getattr(m, name), means[name]), name
+def test_scalar_reference_also_matches_cavity_mode(monkeypatch):
+    # the second case is pumped and damped with unequal rates and complex
+    # pumps (every E and G row nonzero and distinct), from a coherent
+    # start, over 14 steps drawn three at a time and sampled every other step
+    cases = [
+        (sf.SystemParams(0.01, 1.0, 1.0, 10.0, 200.0, 200.0), sf.PhaseSpacePoint.vacuum(),
+         3, 1, None),
+        (sf.SystemParams(0.02, 1.0, 1.7, 6.0, 180 + 40j, 120 - 25j),
+         sf.PhaseSpacePoint.coherent(alpha1=90 - 5j, alpha2=60 + 3j, alpha3=-4 + 1j), 14, 2, 3),
+    ]
+    for p, init, n_steps, stride, block_steps in cases:
+        if block_steps:
+            monkeypatch.setattr(trajectories, "NOISE_BLOCK_BYTES",
+                                block_steps * 5 * trajectories.NOISES_PER_STEP * 8)
+        cfg = sf.TrajectoryConfig(dt=1e-3, t_max=n_steps * 1e-3, n_traj=5, seed=3,
+                                  sample_stride=stride, mode="cavity", n_batches=5)
+        m = sf.run_ensemble(p, init, cfg)
+        states = oracles.scalar_reference_states(p, init, cfg)
+        means, counts = oracles.scalar_reference_batch_means(states, 5)
+        for name in ("a", "ap", "aa", "apap", "apa", "nn"):
+            assert np.array_equal(getattr(m, name), means[name]), (name, n_steps)
 
 
 def test_distributional_conjugacy():
