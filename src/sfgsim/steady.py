@@ -125,7 +125,9 @@ def classical_rhs(params, x, out=None):
     complex array of that shape that does not overlap ``x``, receives the
     rows instead of a new array; a block ``out`` that is not C-contiguous
     raises ValueError.  A (6,) state goes through ``flow_rows``, a block
-    through ``block_flow``, which the ensemble step binds once per pass.
+    through ``block_flow``, which the ensemble step binds once per pass:
+    its buffers are fixed for the pass, and at the figures' narrow widths
+    a call costs numpy's per-call overhead more than arithmetic.
     """
     if np.ndim(x) == 1:
         if out is None:
@@ -150,10 +152,8 @@ def block_flow(params, x, out, scratch, coefficients=None):
     product over its own input, so an idle mode's ``eps - gamma a`` is
     +0+0j as written out (``test_classical_rhs_is_the_written_out_flow_bit_for_bit``).
     Every view of ``x``, ``out`` and ``scratch`` (C-contiguous complex
-    (6, n), none overlapping) is taken here, once: the ensemble step binds
-    a flow to its fixed buffers for a pass and writes each new state into
-    ``x``, since at narrow widths a call costs numpy's per-call overhead,
-    not arithmetic.  ``coefficients`` is ``block_coefficients(params, n)``.
+    (6, n), none overlapping) is taken here, once, for a caller that
+    writes each new state into ``x``.  ``coefficients``: ``block_coefficients(params, n)``.
     """
     n = x.shape[1]
     if not (out.flags.c_contiguous and scratch.flags.c_contiguous):

@@ -193,12 +193,12 @@ def test_global_view_is_the_stacked_combination_bit_for_bit():
 def test_ensemble_memory_is_one_moment_table():
     # reproduce-shaped: 256 trajectories in 64 batches, 400 samples; the
     # ensemble holds its one B x S x 42 complex table plus one chunk's
-    # state, _Workspace and noise buffer, and a witness adds only a small
+    # state, step buffers and noise buffer, and a witness adds only a small
     # part of the table, not a copy of it
     init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
     cfg = tw_config(n_traj=256, n_batches=64, t_max=399 * 5e-4, sample_stride=1)
     table_bytes = 64 * cfg.n_samples * 42 * 16
-    # 6 state rows and 34 workspace rows of 256 complex numbers
+    # 6 state rows and 34 step-buffer rows of 256 complex numbers
     chunk_bytes = 40 * 256 * 16 + trajectories.NOISE_BLOCK_BYTES
     tracemalloc.start()
     try:
