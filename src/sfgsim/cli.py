@@ -182,8 +182,7 @@ def _cmd_steady(cfg):
         "residual": [ss.residual], "method": [ss.method],
         "stable": [report.stable], "margin": [report.margin],
     }
-    if params.is_symmetric and params.eps1.imag == 0 and params.eps1.real >= 0 \
-            and params.gamma1 > 0 and params.gamma3 > 0:
+    if ss.method == "closed-form-symmetric" and params.gamma1 > 0 and params.gamma3 > 0:
         cp = steady.critical_point(params)
         amp, intensity = steady.drive_ratios(params)
         print(f"critical drive: {cp.epsilon_c:.6g} (alpha_c {cp.alpha_c:.6g})")

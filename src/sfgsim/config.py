@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
+from .spectra import N_OMEGA, default_omegas
 
 COMMANDS = ("steady", "stability-map", "spectrum", "simulate", "reproduce")
 MODES = ("cavity", "travelling-wave", "tw")
@@ -48,7 +49,7 @@ class RunConfig:
     # frequency grid
     omega_min: float | None = None
     omega_max: float | None = None
-    n_omega: int = 801
+    n_omega: int = N_OMEGA
     # stability-map grid
     ratio_min: float = 1.0
     ratio_max: float = 20.0
@@ -225,9 +226,9 @@ def trajectory_config(cfg: RunConfig):
 
 
 def omega_grid(cfg: RunConfig):
-    scale = cfg.gamma1 if cfg.gamma1 > 0 else 1.0
-    lo = -20.0 * scale if cfg.omega_min is None else cfg.omega_min
-    hi = 20.0 * scale if cfg.omega_max is None else cfg.omega_max
+    lo, hi = default_omegas(cfg, n=2)  # the default ends: reads only gamma1, ends are exact
+    lo = lo if cfg.omega_min is None else cfg.omega_min
+    hi = hi if cfg.omega_max is None else cfg.omega_max
     if not lo < hi:
         raise ConfigError("omega_min must be below omega_max")
     return np.linspace(lo, hi, cfg.n_omega)

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import config, spectra, steady, trajectories
 from . import correlations as corr
-from . import spectra, steady, trajectories
 from .params import SystemParams
 
 TW_KAPPA = 0.01
@@ -66,25 +66,34 @@ class FigurePreset:
         return self.runner(self, n_traj=n_traj, seed=seed, threads=threads)
 
 
-def _tw_config(n_traj, seed):
-    return trajectories.TrajectoryConfig(
-        dt=5e-4, t_max=8.0, n_traj=n_traj, seed=seed,
-        sample_stride=10, mode="travelling-wave",
-    )
-
-
 def travelling_wave_ensemble(n_traj, seed=None, threads=None):
     """The shared travelling-wave ensemble behind fig1/fig2/fig3."""
     params = SystemParams.travelling_wave(_TW_PARAMS["kappa"])
     init = trajectories.PhaseSpacePoint.coherent(
         _TW_PARAMS["alpha1_0"], _TW_PARAMS["alpha2_0"], _TW_PARAMS["alpha3_0"])
-    cfg = _tw_config(n_traj, TW_SEED if seed is None else seed)
+    # fig1-fig3 run on the default grid of ``simulate --mode tw``
+    cfg = config.trajectory_config(config.RunConfig(
+        mode="tw", n_traj=n_traj, seed=TW_SEED if seed is None else seed))
     return trajectories.run_ensemble(params, init, cfg, threads=threads)
 
 
 def intensity_columns(inten, se):
     """The n1, n1_se, n2, n2_se, n3, n3_se columns of ``MomentTable.intensities()``."""
     return {f"n{j + 1}{tail}": v[:, j] for j in range(3) for tail, v in (("", inten), ("_se", se))}
+
+
+def _run_metadata(table):
+    return {"n_diverged": table.n_diverged, "n_traj": table.config.n_traj,
+            "seed": table.config.seed}
+
+
+def _on_tw_ensemble(analyse):
+    """Runner of ``analyse(preset, table)`` on the travelling-wave ensemble (fig1-fig3)."""
+    def run(preset, n_traj=None, seed=None, threads=None, table=None):
+        if table is None:
+            table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
+        return analyse(preset, table)
+    return run
 
 
 def _sig(values, se, bound):
@@ -95,9 +104,8 @@ def _sig(values, se, bound):
     return float(((bound - values[good]) / se[good]).max())
 
 
-def _run_fig1(preset, n_traj=None, seed=None, threads=None, table=None):
-    if table is None:
-        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
+@_on_tw_ensemble
+def _run_fig1(preset, table):
     inten, se = table.intensities()
     t = table.times
     cols = intensity_columns(inten, se)
@@ -140,15 +148,13 @@ def _run_fig1(preset, n_traj=None, seed=None, threads=None, table=None):
         name=preset.name, axis_name="zeta", axis_unit="dimensionless",
         columns={"zeta": t, **cols},
         units={k: "photons" for k in cols},
-        metadata={"peak_zeta": float(t[pk]), "n_diverged": table.n_diverged,
-                  "n_traj": table.config.n_traj, "seed": table.config.seed},
+        metadata={"peak_zeta": float(t[pk]), **_run_metadata(table)},
         checks=checks,
     )
 
 
-def _run_fig2(preset, n_traj=None, seed=None, threads=None, table=None):
-    if table is None:
-        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
+@_on_tw_ensemble
+def _run_fig2(preset, table):
     t = table.times
     vx3 = corr.quadrature_variance(table, corr.QuadratureSpec.x(3))
     fano12 = corr.fano_sum(table)
@@ -170,15 +176,13 @@ def _run_fig2(preset, n_traj=None, seed=None, threads=None, table=None):
         columns={"zeta": t, "vx3": vx3.values, "vx3_se": vx3.se,
                  "fano_n1n2": fano12.values, "fano_n1n2_se": fano12.se},
         units={"vx3": "shot-noise units", "fano_n1n2": "dimensionless"},
-        metadata={"n_diverged": table.n_diverged, "n_traj": table.config.n_traj,
-                  "seed": table.config.seed},
+        metadata=_run_metadata(table),
         checks=checks,
     )
 
 
-def _run_fig3(preset, n_traj=None, seed=None, threads=None, table=None):
-    if table is None:
-        table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
+@_on_tw_ensemble
+def _run_fig3(preset, table):
     t = table.times
     ds = corr.duan_simon(table)
     epr12 = corr.epr_product(table, 1, 2)
@@ -199,64 +203,49 @@ def _run_fig3(preset, n_traj=None, seed=None, threads=None, table=None):
                  "epr12": epr12.values, "epr12_se": epr12.se,
                  "epr21": epr21.values, "epr21_se": epr21.se},
         units={"duan_simon_over4": "separable boundary at 1"},
-        metadata={"n_diverged": table.n_diverged, "n_traj": table.config.n_traj,
-                  "seed": table.config.seed},
+        metadata=_run_metadata(table),
         checks=checks,
     )
 
 
-def _family_result(preset, quantity, threshold, strongest_only=False):
-    """Spectral sweeps of one correlation, one per entry of the preset's table.
+def _spectral_family(column, series, threshold, strongest_only=False):
+    """Runner of the spectral sweeps of ``series(result)``, one per table entry.
 
-    The table runs from weakest to strongest drive; the threshold is
-    checked at every drive, or at the strongest only.
+    The preset's table runs from weakest to strongest drive; each sweep is
+    the column ``{column}_eps{eps1}``, and the threshold is checked at
+    every drive, or at the strongest only.
     """
-    cols = {}
-    minima = {}
-    for run in preset.parameters.values():
-        res = spectra.spectrum(SystemParams(**run))
-        if quantity == "vx3":
-            values = res.variance(3, "X")
-        elif quantity == "duan_simon":
-            values = spectra.spectral_duan_simon(res)
-        elif quantity == "epr":
-            values = spectra.spectral_epr(res, 1, 2)
-        cols.setdefault("omega", res.omega)
-        eps = int(run["eps1"])
-        cols[f"{quantity}_eps{eps}"] = values
-        minima[eps] = float(values.min())
+    def sweep(preset, **_):
+        cols = {}
+        minima = {}
+        for run in preset.parameters.values():
+            res = spectra.spectrum(SystemParams(**run))
+            values = series(res)
+            cols.setdefault("omega", res.omega)
+            eps = int(run["eps1"])
+            cols[f"{column}_eps{eps}"] = values
+            minima[eps] = float(values.min())
 
-    checks = []
-    for eps in list(minima)[-1:] if strongest_only else minima:
+        checks = []
+        for eps in list(minima)[-1:] if strongest_only else minima:
+            checks.append(Check(
+                f"below threshold at eps={eps}",
+                minima[eps] < threshold,
+                f"min {minima[eps]:.4f} vs {threshold}",
+            ))
+        depths = list(minima.values())
+        mono = all(a > b for a, b in zip(depths, depths[1:]))
         checks.append(Check(
-            f"below threshold at eps={eps}",
-            minima[eps] < threshold,
-            f"min {minima[eps]:.4f} vs {threshold}",
+            "deepens with drive", bool(mono),
+            "minima " + " > ".join(f"{m:.4f}" for m in depths),
         ))
-    depths = list(minima.values())
-    mono = all(a > b for a, b in zip(depths, depths[1:]))
-    checks.append(Check(
-        "deepens with drive", bool(mono),
-        "minima " + " > ".join(f"{m:.4f}" for m in depths),
-    ))
-    return PresetResult(
-        name=preset.name, axis_name="omega", axis_unit="units of gamma1",
-        columns=cols,
-        metadata={"minima": {str(k): v for k, v in minima.items()}},
-        checks=checks,
-    )
-
-
-def _run_fig4(preset, **_):
-    return _family_result(preset, "vx3", 1.0)
-
-
-def _run_fig5(preset, **_):
-    return _family_result(preset, "duan_simon", 4.0)
-
-
-def _run_fig6(preset, **_):
-    return _family_result(preset, "epr", 1.0, strongest_only=True)
+        return PresetResult(
+            name=preset.name, axis_name="omega", axis_unit="units of gamma1",
+            columns=cols,
+            metadata={"minima": {str(k): v for k, v in minima.items()}},
+            checks=checks,
+        )
+    return sweep
 
 
 def _run_fig7(preset, **_):
@@ -308,8 +297,7 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
         name=preset.name, axis_name="t", axis_unit="1/gamma1",
         columns=cols,
         units={k: "photons" for k in cols if k != "t"},
-        metadata={"fixed_point_n": list(fp), "n_diverged": table.n_diverged,
-                  "n_traj": cfg.n_traj, "seed": cfg.seed},
+        metadata={"fixed_point_n": list(fp), **_run_metadata(table)},
         checks=checks,
     )
 
@@ -340,15 +328,17 @@ PRESETS = {
     ),
     "fig4": FigurePreset(
         "fig4", "output squeezing spectra of X3 versus drive strength",
-        _SYM_SPEC_PARAMS, None, _run_fig4,
+        _SYM_SPEC_PARAMS, None, _spectral_family("vx3", lambda res: res.variance(3, "X"), 1.0),
     ),
     "fig5": FigurePreset(
         "fig5", "joint-quadrature entanglement spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None, _run_fig5,
+        _SYM_SPEC_PARAMS, None, _spectral_family("duan_simon", spectra.spectral_duan_simon, 4.0),
     ),
     "fig6": FigurePreset(
         "fig6", "inferred-variance product spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None, _run_fig6,
+        _SYM_SPEC_PARAMS, None,
+        _spectral_family("epr", lambda res: spectra.spectral_epr(res, 1, 2), 1.0,
+                         strongest_only=True),
     ),
     "fig7": FigurePreset(
         "fig7", "steering asymmetry with unequal losses and pumps",

@@ -207,7 +207,10 @@ class SpectrumResult:
         return self.output[:, i, i]
 
 
-def default_omegas(params, n=801, span=20.0):
+N_OMEGA = 801  # points of the default frequency grid, and the n_omega key's default
+
+
+def default_omegas(params, n=N_OMEGA, span=20.0):
     """Symmetric frequency grid: `n` points over [-span, span] * gamma1.
 
     A travelling-wave gamma1 of zero falls back to unit frequency scale.

@@ -65,7 +65,6 @@ import numpy as np
 from .config import _parse_value
 from .errors import ConfigError, EnsembleQualityError, ParameterError
 from .noise import NOISES_PER_STEP, draw_block, trajectory_generator
-from .params import SystemParams
 from .steady import block_coefficients, block_flow, flow_coefficients, flow_rows
 
 # Any amplitude beyond this magnitude flags the trajectory as diverged;
@@ -199,45 +198,55 @@ class TrajectoryConfig:
         return steps * self.dt
 
 
+# The ensemble moments in table order, name -> (left, right) over the
+# per-mode factors a = a_j, ap = a_j+ and n = a_j+ a_j: E[left_j] with no
+# right factor, else E[left_j right_k] (apa[..., j, k] = E[a_j+ a_k]),
+# formed as left[:, :, None] * right[:, None, :] in this operand order.
+# Everything that stores, reduces or combines moments iterates this table.
+MOMENTS = {
+    "a": ("a", None),
+    "ap": ("ap", None),
+    "aa": ("a", "a"),
+    "apap": ("ap", "ap"),
+    "apa": ("ap", "a"),
+    "nn": ("n", "n"),
+}
+
+
 class MomentView:
     """Normally-ordered moment arrays at every sample time.
 
-    ``a``/``ap`` are first moments with shape (S, 3); ``aa``, ``apap``,
-    ``apa`` and ``nn`` are (S, 3, 3) second/fourth-moment tables with
-    apa[s, j, k] = E[a_j+ a_k] and nn over n_j = a_j+ a_j.
+    One attribute per entry of ``MOMENTS``: (S, 3) for a first moment,
+    (S, 3, 3) for a product, so S x 42 numbers for the six.
     """
 
-    __slots__ = ("a", "ap", "aa", "apap", "apa", "nn")
-
-    def __init__(self, a, ap, aa, apap, apa, nn):
-        self.a, self.ap = a, ap
-        self.aa, self.apap, self.apa, self.nn = aa, apap, apa, nn
+    def __init__(self, *moments):
+        self.__dict__.update(zip(MOMENTS, moments, strict=True))
 
 
-@dataclass
 class MomentTable:
     """Batch-resolved ensemble moments on the sample grid.
 
     Per-batch means (first axis) let any derived statistic carry a
     standard error from the spread of batch values; the combined view
-    weights batches by their surviving trajectory counts.  The six tables
-    hold B x S x 42 complex numbers (66 MiB at 64 batches and 1601
-    samples) whatever the ensemble size; ``global_view`` adds only its
-    result and one S-row product per table.
+    weights batches by their surviving trajectory counts.  Each moment of
+    ``MOMENTS`` is (B, S, 3), or (B, S, 3, 3) for a product: B x S x
+    (2 x 3 + 4 x 9) = B x S x 42 complex numbers (66 MiB at 64 batches and
+    1601 samples) whatever the ensemble size.  ``global_view`` costs its
+    result and one S-row product per table, once: the table keeps it.
+    Moments come positionally in ``MOMENTS`` order or by name.
     """
 
-    times: np.ndarray
-    batch_counts: np.ndarray
-    batch_valid: np.ndarray
-    a: np.ndarray        # (B, S, 3) E[a_j]
-    ap: np.ndarray       # (B, S, 3) E[a_j+]
-    aa: np.ndarray       # (B, S, 3, 3) E[a_j a_k]
-    apap: np.ndarray     # (B, S, 3, 3) E[a_j+ a_k+]
-    apa: np.ndarray      # (B, S, 3, 3) E[a_j+ a_k]
-    nn: np.ndarray       # (B, S, 3, 3) E[n_j n_k]
-    n_diverged: int
-    config: TrajectoryConfig
-    params: SystemParams
+    def __init__(self, times, batch_counts, batch_valid, *moments,
+                 n_diverged, config, params, **named):
+        given = len(moments) + len(named)
+        named.update(zip(MOMENTS, moments))
+        if given != len(MOMENTS) or named.keys() != MOMENTS.keys():
+            raise TypeError(f"MomentTable takes each of the moments {list(MOMENTS)} once")
+        self.__dict__.update(named)
+        self.times, self.batch_counts, self.batch_valid = times, batch_counts, batch_valid
+        self.n_diverged, self.config, self.params = n_diverged, config, params
+        self._global = None
 
     @property
     def n_valid(self):
@@ -260,10 +269,12 @@ class MomentTable:
         return total / w.sum()
 
     def global_view(self):
-        return MomentView(*(self._combine(getattr(self, n)) for n in MomentView.__slots__))
+        if self._global is None:
+            self._global = MomentView(*(self._combine(getattr(self, n)) for n in MOMENTS))
+        return self._global
 
     def batch_view(self, b):
-        return MomentView(*(getattr(self, n)[b] for n in MomentView.__slots__))
+        return MomentView(*(getattr(self, n)[b] for n in MOMENTS))
 
     def batch_statistic(self, fn):
         """Evaluate ``fn(view)`` globally and per batch.
@@ -394,17 +405,12 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
     if keep is not None:
         a = np.where(keep[:, None], a, 0.0)
         ap = np.where(keep[:, None], ap, 0.0)
-    nph = ap * a
-    aa = a[:, :, None] * a[:, None, :]
-    apap = ap[:, :, None] * ap[:, None, :]
-    apa = ap[:, :, None] * a[:, None, :]
-    nn = nph[:, :, None] * nph[:, None, :]
-    sums.a[:, rec] += np.add.reduceat(a, segments, axis=0)
-    sums.ap[:, rec] += np.add.reduceat(ap, segments, axis=0)
-    sums.aa[:, rec] += np.add.reduceat(aa, segments, axis=0)
-    sums.apap[:, rec] += np.add.reduceat(apap, segments, axis=0)
-    sums.apa[:, rec] += np.add.reduceat(apa, segments, axis=0)
-    sums.nn[:, rec] += np.add.reduceat(nn, segments, axis=0)
+    factors = {"a": a, "ap": ap, "n": ap * a}
+    for name, (left, right) in MOMENTS.items():
+        x = factors[left]
+        if right is not None:
+            x = x[:, :, None] * factors[right][:, None, :]
+        getattr(sums, name)[:, rec] += np.add.reduceat(x, segments, axis=0)
 
 
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
@@ -448,10 +454,11 @@ def run_ensemble(params, init, cfg, threads=None):
     SFGSIM_THREADS (default 1), parsed and checked like the ``threads``
     configuration key.
 
-    Memory: the returned B x S x 42 complex table, allocated once, plus
-    for each chunk in flight its state, step buffers and noise buffer
-    (at most NOISE_BLOCK_BYTES for chunks up to 65536 trajectories),
-    whatever the ensemble size or thread count.
+    Memory: the returned table, one B x S x 3 (x 3 for a product) complex
+    array per entry of ``MOMENTS`` (B x S x 42 for the six), allocated
+    once, plus for each chunk in flight its state, step buffers and noise
+    buffer (at most NOISE_BLOCK_BYTES for chunks up to 65536
+    trajectories), whatever the ensemble size or thread count.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -475,8 +482,8 @@ def run_ensemble(params, init, cfg, threads=None):
     per_chunk = max(1, TRAJECTORY_CHUNK // batch_size)
     groups = [(b, min(b + per_chunk, B)) for b in range(0, B, per_chunk)]
 
-    tables = [np.zeros((B, S) + tail, dtype=complex)
-              for tail in ((3,), (3,), (3, 3), (3, 3), (3, 3), (3, 3))]
+    tables = [np.zeros((B, S, 3) + (() if right is None else (3,)), dtype=complex)
+              for _, right in MOMENTS.values()]
     valid = np.zeros(B, dtype=int)
     diverged = np.zeros(len(groups), dtype=int)
 
@@ -524,8 +531,7 @@ def run_ensemble(params, init, cfg, threads=None):
         np.divide(t, w.reshape((B,) + (1,) * (t.ndim - 1)), out=t)
         t[valid == 0] = np.nan
 
-    return MomentTable(cfg.sample_times(), counts, valid,
-                       **dict(zip(MomentView.__slots__, tables)),
+    return MomentTable(cfg.sample_times(), counts, valid, *tables,
                        n_diverged=n_diverged, config=cfg, params=params)
 
 

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfgsim import SystemParams, cli, solve_steady, steady
-from sfgsim.config import COMMANDS, FIGURES, MODES, RunConfig, parse_config, render_config
+from sfgsim.config import (
+    COMMANDS,
+    FIGURES,
+    MODES,
+    RunConfig,
+    omega_grid,
+    parse_config,
+    render_config,
+)
 from sfgsim.errors import ConfigError
 from sfgsim.presets import PRESETS
 
@@ -63,6 +71,8 @@ def test_round_trip_is_identity():
         RunConfig(command="simulate", mode="tw", dt=5e-4, t_max=3.0,
                   n_traj=50, seed=7, alpha1_0=707.1, alpha2_0=707.1),
         RunConfig(command="reproduce", reproduce="fig4", output="x"),
+        RunConfig(command="spectrum", gamma1=2.5, omega_min=-3.0, n_omega=7),
+        RunConfig(command="spectrum", gamma1=0.0, omega_max=0.25, n_omega=5),
     ]
     for cfg in samples:
         text = render_config(cfg)
@@ -70,6 +80,11 @@ def test_round_trip_is_identity():
         again.command = cfg.command  # command comes from the CLI verb
         assert again == cfg
         assert render_config(again) == text
+        # +-20 gamma1 (unit scale at gamma1 = 0) unless a bound is set
+        scale = cfg.gamma1 if cfg.gamma1 > 0 else 1.0
+        lo = -20.0 * scale if cfg.omega_min is None else cfg.omega_min
+        hi = 20.0 * scale if cfg.omega_max is None else cfg.omega_max
+        assert np.array_equal(omega_grid(cfg), np.linspace(lo, hi, cfg.n_omega))
 
 
 def _optional(strategy):

@@ -192,6 +192,34 @@ def test_exchange_symmetry_time_domain():
     assert np.all(np.abs(f1.values - f2.values) <= gate)
 
 
+def test_each_witness_combines_the_table_once(monkeypatch):
+    # a witness's guard reads the same combined view as its statistic, and
+    # witnesses on one table share it: no moment table is combined twice,
+    # and the bits equal those of witnesses each given a fresh table
+    combined = []
+    combine = MomentTable._combine
+    monkeypatch.setattr(MomentTable, "_combine",
+                        lambda self, arr: combined.append(id(arr)) or combine(self, arr))
+    z = gaussian_samples(512, [1.0, 1.0, 1.0, 1.0, 0.5, 0.5], 0.1 * np.eye(6))
+    witnesses = [
+        lambda m: sf.quadrature_variance(m, QuadratureSpec.x(3)),
+        sf.fano_sum,
+        sf.duan_simon,
+        lambda m: sf.epr_product(m, 1, 2),
+    ]
+    alone = []
+    for witness in witnesses:
+        combined.clear()
+        alone.append(witness(table_from_samples(z)))
+        assert combined and len(set(combined)) == len(combined)
+    combined.clear()
+    m = table_from_samples(z)
+    for witness, want in zip(witnesses, alone):
+        got = witness(m)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.se, want.se)
+    assert combined and len(set(combined)) == len(combined)
+
+
 def test_fano_guard_on_vacuum():
     z = coherent_samples(256, [0, 0, 0])
     m = table_from_samples(z)

@@ -151,6 +151,35 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
                                       equal_nan=True), (width, threads, name)
 
 
+@pytest.mark.parametrize("case", ["finite", "replayed"])
+def test_a_seventh_moment_is_one_spec_entry(case, monkeypatch):
+    # every layer iterates MOMENTS, so one entry, E[n_j] as a first moment
+    # of the factor n = a_j+ a_j, gives a seventh table that is the
+    # diagonal of apa bit for bit, and leaves the six others as they were
+    if case == "finite":
+        p, init = TW, sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+        cfg = tw_config(n_traj=40, n_batches=8, t_max=0.02)
+    else:
+        monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
+        p = sf.SystemParams.travelling_wave(0.1)
+        init = sf.PhaseSpacePoint.coherent(alpha1=10.0, alpha2=10.0)
+        cfg = sf.TrajectoryConfig(dt=0.5, t_max=10.0, n_traj=48, seed=1,
+                                  sample_stride=2, mode="travelling-wave", n_batches=8)
+    ref = sf.run_ensemble(p, init, cfg)
+    monkeypatch.setitem(trajectories.MOMENTS, "n", ("n", None))
+    m = sf.run_ensemble(p, init, cfg, threads=2)
+    if case == "replayed":
+        assert 0 < m.n_diverged  # the zero-weighted replay path
+    assert m.n.shape == m.a.shape
+    assert np.array_equal(m.n, np.einsum("bsjj->bsj", m.apa), equal_nan=True)
+    for name in TABLES:
+        assert np.array_equal(getattr(m, name), getattr(ref, name), equal_nan=True), name
+    with np.errstate(invalid="ignore"):
+        view = m.global_view()
+    assert np.array_equal(view.n, np.einsum("sjj->sj", view.apa), equal_nan=True)
+    assert np.array_equal(m.batch_view(0).n, m.n[0], equal_nan=True)
+
+
 def test_global_view_is_the_stacked_combination_bit_for_bit():
     # the running total starts from +0 and adds batch rows in order, as
     # numpy's sum over axis 0 does, so signed zeros, infinities and the
@@ -188,6 +217,22 @@ def test_global_view_is_the_stacked_combination_bit_for_bit():
     m = trajectories.MomentTable(None, valid, valid, arr, arr, arr, arr, arr, arr,
                                  n_diverged=0, config=cfg, params=TW)
     assert np.array_equal(m._combine(arr), oracles.stacked_combine(arr, valid))
+
+
+def test_moment_table_takes_each_moment_once():
+    # positionally in MOMENTS order, by name, or both; never one too many,
+    # one twice or one missing
+    arr, valid, cfg = np.zeros((2, 1, 3, 3), dtype=complex), np.ones(2, int), tw_config()
+    names = list(trajectories.MOMENTS)
+    for args, named in (((arr,) * 6, {}), ((), dict.fromkeys(names, arr)),
+                        ((arr,) * 4, dict.fromkeys(names[4:], arr))):
+        m = trajectories.MomentTable(None, valid, valid, *args, **named,
+                                     n_diverged=0, config=cfg, params=TW)
+        assert all(getattr(m, name) is arr for name in names)
+    for args, named in (((arr,) * 7, {}), ((arr,) * 6, {"nn": arr}), ((arr,) * 5, {})):
+        with pytest.raises(TypeError, match="each of the moments"):
+            trajectories.MomentTable(None, valid, valid, *args, **named,
+                                     n_diverged=0, config=cfg, params=TW)
 
 
 def test_ensemble_memory_is_one_moment_table():
