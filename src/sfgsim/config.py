@@ -197,7 +197,10 @@ def resolved_dt(cfg: RunConfig):
         return cfg.dt
     if cfg.canonical_mode == "travelling-wave":
         return 5e-4
-    fastest = max(cfg.gamma1, cfg.gamma2, cfg.gamma3, 1e-12)
+    fastest = max(cfg.gamma1, cfg.gamma2, cfg.gamma3)
+    if not fastest > 0:
+        raise ConfigError("automatic dt needs a positive loss rate gamma1, gamma2 or "
+                          "gamma3; set dt")
     return 1e-3 / fastest
 
 

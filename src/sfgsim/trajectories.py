@@ -91,10 +91,11 @@ MAX_DIVERGED_FRACTION = 1e-4
 TRAJECTORY_CHUNK = 2048
 
 # Byte budget of a pass's reused noise buffer.  Each draw_block call fills
-# as many steps as fit (2 MiB is 256 steps of a 256-wide chunk, 32 of a
-# 2048-wide one), but at least one, so only a chunk wider than 65536
-# trajectories (one step of noise) exceeds it.  Performance and memory
-# only: the streams do not depend on it.
+# the largest odd number of steps that fit (255 steps of a 256-wide chunk,
+# 31 of a 2048-wide one), but at least one, so only a chunk wider than
+# 65536 trajectories (one step of noise) exceeds it.  An eighth of it
+# bounds a pass's block of sampled states.  Performance and memory only:
+# the streams and the moments do not depend on it.
 NOISE_BLOCK_BYTES = 2 * 2**20
 
 _MODES = ("cavity", "travelling-wave")
@@ -249,10 +250,6 @@ class MomentTable:
         self._global = None
 
     @property
-    def n_valid(self):
-        return int(self.batch_valid.sum())
-
-    @property
     def nonempty(self):
         return np.nonzero(self.batch_valid > 0)[0]
 
@@ -374,9 +371,10 @@ def _raw_dt(params, init, cfg):
 
 
 def _alive_mask(s):
-    """Per trajectory (column): inside the guard, hence finite (NaN compares false)."""
+    """Per trajectory (last axis) of a (6, R, n) block of R samples: inside
+    the guard at every sample, hence finite (NaN compares false)."""
     with np.errstate(invalid="ignore"):
-        return np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=0)
+        return np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=(0, 1))
 
 
 def _batch_bounds(n_traj, n_batches):
@@ -387,18 +385,19 @@ def _batch_bounds(n_traj, n_batches):
 
 
 def accumulate_sample(sums, rec, s, segments, keep=None):
-    """Add one sample's moment products to per-batch sums.
+    """Add a block of samples' moment products to per-batch sums.
 
     ``sums`` is a ``MomentView`` of (nb, S, ...) arrays, one row per batch
     in the block; ``run_ensemble`` passes views of its table's rows.
 
-    ``s`` is the (n, 6) state block (the ensemble passes the transpose of
-    its component-first state), ``segments`` the batch start offsets
-    within the block (np.add.reduceat layout), ``keep`` an optional
-    boolean mask that removes diverged trajectories (their states may be
-    non-finite, so they are replaced by zeros rather than weighted).
-    Exposed so a reference implementation can share the exact reduction
-    arithmetic.
+    ``s`` is the (R n, 6) state block of R consecutive samples of n
+    trajectories, sample by sample (the ensemble passes the transpose of
+    its component-first block), ``rec`` the slice of those R samples,
+    ``segments`` the R nb batch start offsets within the block
+    (np.add.reduceat layout), ``keep`` an optional boolean mask per row
+    that removes diverged trajectories (their states may be non-finite, so
+    they are replaced by zeros rather than weighted).  Each batch of each
+    sample is one reduceat segment, so its sum does not depend on R.
     """
     a = s[:, 0::2]
     ap = s[:, 1::2]
@@ -410,7 +409,9 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
         x = factors[left]
         if right is not None:
             x = x[:, :, None] * factors[right][:, None, :]
-        getattr(sums, name)[:, rec] += np.add.reduceat(x, segments, axis=0)
+        table = getattr(sums, name)
+        nb, _, *tail = table.shape
+        table[:, rec] += np.add.reduceat(x, segments, axis=0).reshape(-1, nb, *tail).swapaxes(0, 1)
 
 
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
@@ -418,15 +419,23 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
     s = np.repeat(init.as_array()[:, None], n, axis=1)
     advance = _midpoint_step(params, s, dt_raw)
     alive = np.ones(n, dtype=bool)
-    accumulate_sample(sums, 0, s.T, segments, keep)
+    accumulate_sample(sums, slice(0, 1), s.T, segments, keep)
     gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
 
     # steps after the last sample feed no sample, alive check or moment
     stride = cfg.sample_stride
     n_steps = (cfg.n_samples - 1) * stride
-    per_draw = NOISE_BLOCK_BYTES // (n * NOISES_PER_STEP * 8)
-    buf = np.empty((n, max(1, min(per_draw, n_steps)), NOISES_PER_STEP))
+    # an odd number of steps per trajectory row, so the rows of a step's
+    # (4, n) noise view lie an odd number of 32-byte units apart and spread
+    # over every cache set rather than aliasing into a few
+    per_draw = min(NOISE_BLOCK_BYTES // (n * NOISES_PER_STEP * 8), n_steps)
+    buf = np.empty((n, max(1, per_draw - 1) | 1, NOISES_PER_STEP))
     draws = [buf[:, k, :].T for k in range(buf.shape[1])]
+    # later samples go through the guard and the reduction R at a time
+    R = max(1, min(NOISE_BLOCK_BYTES // 8 // s.nbytes, cfg.n_samples - 1))
+    block = np.empty((6, R, n), dtype=complex)
+    offsets = (np.arange(R)[:, None] * n + segments).ravel()
+    keeps = None if keep is None else np.tile(keep, R)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
@@ -436,8 +445,15 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
                 advance(w)
                 done += 1
                 if done % stride == 0:
-                    alive &= _alive_mask(s)
-                    accumulate_sample(sums, done // stride, s.T, segments, keep)
+                    k = done // stride
+                    r = (k - 1) % R + 1  # samples in the block, sample k included
+                    block[:, r - 1] = s
+                    if r == R or done == n_steps:
+                        alive &= _alive_mask(block[:, :r])
+                        accumulate_sample(sums, slice(k + 1 - r, k + 1),
+                                          block[:, :r].reshape(6, r * n).T,
+                                          offsets[:r * len(segments)],
+                                          None if keep is None else keeps[:r * n])
     return alive
 
 
@@ -456,9 +472,10 @@ def run_ensemble(params, init, cfg, threads=None):
 
     Memory: the returned table, one B x S x 3 (x 3 for a product) complex
     array per entry of ``MOMENTS`` (B x S x 42 for the six), allocated
-    once, plus for each chunk in flight its state, step buffers and noise
+    once, plus for each chunk in flight its state, step buffers, noise
     buffer (at most NOISE_BLOCK_BYTES for chunks up to 65536
-    trajectories), whatever the ensemble size or thread count.
+    trajectories) and block of sampled states (an eighth of that, or one
+    sample), whatever the ensemble size or thread count.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -549,14 +566,18 @@ def semiclassical_trajectory(params, init, cfg):
     dt_raw = _raw_dt(params, init, cfg)
     c = flow_coefficients(params)
     half, two = complex(0.5 * dt_raw), complex(2.0)
-    s = tuple(map(complex, init.as_array()))
     states = np.empty((cfg.n_samples, 6), dtype=complex)
-    states[0] = s
+    states[0] = s = tuple(map(complex, init.as_array()))
+    s1, s1p, s2, s2p, s3, s3p = s
     for k in range(1, cfg.n_steps + 1):
-        m = s
+        m1, m1p, m2, m2p, m3, m3p = s
         for _ in range(MIDPOINT_ITERATIONS):
-            m = tuple(si + half * fi for si, fi in zip(s, flow_rows(c, *m)))
-        s = tuple(two * mi - si for mi, si in zip(m, s))
+            f1, f1p, f2, f2p, f3, f3p = flow_rows(c, m1, m1p, m2, m2p, m3, m3p)
+            m1, m1p, m2 = s1 + half * f1, s1p + half * f1p, s2 + half * f2
+            m2p, m3, m3p = s2p + half * f2p, s3 + half * f3, s3p + half * f3p
+        s1, s1p, s2 = two * m1 - s1, two * m1p - s1p, two * m2 - s2
+        s2p, s3, s3p = two * m2p - s2p, two * m3 - s3, two * m3p - s3p
+        s = s1, s1p, s2, s2p, s3, s3p
         if not _inside_guard(s):
             raise EnsembleQualityError(
                 f"semiclassical path hit the divergence guard at step {k}"
@@ -569,6 +590,6 @@ def semiclassical_trajectory(params, init, cfg):
 def _inside_guard(state):
     """``_alive_mask`` for one state of Python complex numbers."""
     try:
-        return all(abs(z) <= DIVERGENCE_GUARD for z in state)
+        return all(map(DIVERGENCE_GUARD.__ge__, map(abs, state)))
     except OverflowError:  # a magnitude beyond the largest float
         return False

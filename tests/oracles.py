@@ -5,15 +5,17 @@ route than the library: damped fixed-point iteration and scipy root
 finding for steady states, the flow and the fixed-point equations written
 out for the drift kernel and the residual, a per-trajectory scalar
 integrator for the ensemble engine, one stacked expression for its batch
-combination, a per-frequency loop for the batched spectral sweep,
-periodogram averaging of a directly simulated linear SDE for the
-spectral formula, and Wick closure for Gaussian moment closed forms.
+combination, a loop over state tuples for the mean-field path, a
+per-frequency loop for the batched spectral sweep, periodogram averaging
+of a directly simulated linear SDE for the spectral formula, and Wick
+closure for Gaussian moment closed forms.
 """
 
 import numpy as np
 import scipy.optimize
 
 from sfgsim.noise import trajectory_generator
+from sfgsim.steady import flow_coefficients, flow_rows
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,24 @@ def scalar_reference_batch_means(states, n_batches):
         means[counts > 0] = sums / counts[counts > 0].reshape((-1,) + (1,) * (arr.ndim - 1))
         out[name] = means
     return out, counts
+
+
+def semiclassical_by_tuples(params, init, cfg, dt):
+    """The mean-field midpoint loop on six-tuples of Python complex numbers,
+    each built from a generator; returns the (S, 6) sampled states."""
+    c = flow_coefficients(params)
+    half, two = complex(0.5 * dt), complex(2.0)
+    s = tuple(map(complex, init.as_array()))
+    states = np.empty((cfg.n_samples, 6), dtype=complex)
+    states[0] = s
+    for k in range(1, cfg.n_steps + 1):
+        m = s
+        for _ in range(3):
+            m = tuple(si + half * fi for si, fi in zip(s, flow_rows(c, *m)))
+        s = tuple(two * mi - si for mi, si in zip(m, s))
+        if k % cfg.sample_stride == 0:
+            states[k // cfg.sample_stride] = s
+    return states
 
 
 def stacked_combine(arr, batch_valid):

@@ -247,13 +247,15 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
     (["spectrum", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
     (["reproduce", "fig4", "--config", "physics.cfg"], {},
      "kappa in physics.cfg, eps1 in physics.cfg"),
+    (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"], {},
+     "automatic dt needs a positive loss rate"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
-        "reproduce-physics-config-key"])
+        "reproduce-physics-config-key", "undamped-cavity-automatic-dt"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -316,6 +316,36 @@ def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeyp
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
 
 
+@pytest.mark.parametrize("width, n_steps, row_steps, sample_rows", [
+    (256, 300, 255, [256] + [2560] * 3), (2048, 40, 31, [2048] * 5)],
+    ids=["256-wide", "2048-wide"])
+def test_noise_rows_are_odd_and_samples_reach_the_reduction_in_blocks(
+        width, n_steps, row_steps, sample_rows, monkeypatch):
+    # at the default budget a trajectory's noise row holds an odd number of
+    # 32-byte steps, so one step's strided read spreads over the cache sets;
+    # after t = 0 the samples reach accumulate_sample as (R n, 6) blocks
+    layouts, rows = [], []
+    draw_block, accumulate_sample = trajectories.draw_block, trajectories.accumulate_sample
+
+    def drawing(generators, n, out=None):
+        layouts.append((out.strides[0], out.nbytes, out.flags.c_contiguous))
+        return draw_block(generators, n, out=out)
+
+    def accumulating(sums, rec, s, segments, keep=None):
+        rows.append(s.shape)
+        return accumulate_sample(sums, rec, s, segments, keep)
+
+    monkeypatch.setattr(trajectories, "draw_block", drawing)
+    monkeypatch.setattr(trajectories, "accumulate_sample", accumulating)
+    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
+    sf.run_ensemble(TW, init, tw_config(n_traj=width, t_max=n_steps * 5e-4))
+    assert len(layouts) == 2
+    for stride, nbytes, contiguous in layouts:
+        assert stride % 64 == 32 and stride == 32 * row_steps and contiguous
+        assert nbytes <= trajectories.NOISE_BLOCK_BYTES
+    assert rows == [(r, 6) for r in sample_rows]
+
+
 @pytest.mark.parametrize("t_max, dt", [(8.0, 5e-4), (14.0, 1e-4), (0.128, 5e-4),
                                        (0.5, 1e-4), (15e-4, 5e-4)])
 def test_grids_of_whole_steps_are_accepted(t_max, dt):
@@ -503,7 +533,7 @@ _FIG8 = sf.SystemParams(**presets.PRESETS["fig8"].parameters["run"])
 _TW_RUN = presets._TW_PARAMS
 
 
-@pytest.mark.parametrize("p, init, cfg, rtol", [
+_MEAN_FIELD_CASES = [
     # fig8 from vacuum on a shortened grid: real states, exact
     (_FIG8, sf.PhaseSpacePoint.vacuum(),
      sf.TrajectoryConfig(dt=1e-4, t_max=0.3, n_traj=2, seed=0, sample_stride=500), 0.0),
@@ -517,7 +547,11 @@ _TW_RUN = presets._TW_PARAMS
     (sf.SystemParams(0.01, 1.0, 1.7, 10.0, 400 * np.exp(0.7j), 300 * np.exp(-0.2j)),
      sf.PhaseSpacePoint.coherent(3 - 1j, 2j, -0.5),
      sf.TrajectoryConfig(dt=1e-3, t_max=3.0, n_traj=2, seed=0, sample_stride=100), 1e-12),
-], ids=["fig8-vacuum", "travelling-wave-coherent", "complex-pump-asymmetric"])
+]
+_MEAN_FIELD_IDS = ["fig8-vacuum", "travelling-wave-coherent", "complex-pump-asymmetric"]
+
+
+@pytest.mark.parametrize("p, init, cfg, rtol", _MEAN_FIELD_CASES, ids=_MEAN_FIELD_IDS)
 def test_semiclassical_is_the_written_out_step_without_noise(p, init, cfg, rtol):
     want, _ = _written_out_mean_field(p, init, cfg)
     times, got = sf.semiclassical_trajectory(p, init, cfg)
@@ -526,6 +560,24 @@ def test_semiclassical_is_the_written_out_step_without_noise(p, init, cfg, rtol)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     else:
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+_NEG = complex(-0.0, -0.0)
+
+
+@pytest.mark.parametrize("p, init, cfg", [
+    *[case[:3] for case in _MEAN_FIELD_CASES],
+    # -0 parts in the start and in both pumps
+    (sf.SystemParams(0.02, 1.0, 1.5, 4.0, complex(250.0, -0.0), complex(-0.0, -0.0)),
+     sf.PhaseSpacePoint(_NEG, complex(0.0, -0.0), _NEG, complex(-0.0, 0.0), _NEG, _NEG),
+     sf.TrajectoryConfig(dt=1e-3, t_max=0.5, n_traj=2, seed=0, sample_stride=50)),
+], ids=[*_MEAN_FIELD_IDS, "signed-zeros"])
+def test_semiclassical_is_the_tuple_loop_bit_for_bit(p, init, cfg):
+    # the loop over six locals does every scalar operation of the loop
+    # over state tuples, in the same order
+    want = oracles.semiclassical_by_tuples(p, init, cfg, trajectories._raw_dt(p, init, cfg))
+    _, got = sf.semiclassical_trajectory(p, init, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_semiclassical_divergence_is_caught_at_its_step():
