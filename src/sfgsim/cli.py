@@ -11,10 +11,8 @@ deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
 any CSV can be regenerated from its sidecar alone.
 
-Exit codes: 0 success; 1 usage, configuration, parameter, file or
-solver error; 2 spectra requested at an unstable operating point; 3
-ensemble quality failure (diverged trajectories).  Every failure prints a
-one-line ``error:`` message.  The only environment variable honoured is
+Every failure prints a one-line ``error:`` message and exits nonzero
+(``_EXIT_CODES``).  The only environment variable honoured is
 SFGSIM_THREADS (default worker count for trajectory ensembles), parsed
 and checked like the ``threads`` key.
 """
@@ -39,10 +37,13 @@ from .errors import (
     UnstableOperatingPointError,
 )
 
+# exit codes: 0 success; 1 usage, configuration, parameter, file or solver
+# error; 2 spectra requested at an unstable operating point; 3 ensemble
+# quality failure (diverged trajectories).  ``main`` maps an error's type
+# through ``_EXIT_CODES``, and every other error to 1.
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_UNSTABLE = 2
-EXIT_ENSEMBLE = 3
+_EXIT_CODES = {UnstableOperatingPointError: 2, EnsembleQualityError: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,69 +102,55 @@ def build_parser():
 
 
 def _merge_config(args):
-    """File values first, then explicit flags; checks the output directory."""
+    """File values overridden by explicit flags, validated once; checks the output directory."""
     values = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values = cfgmod.config_values(fh.read())
-    cfg = cfgmod.RunConfig(**values).validate()
-    cfg.command = args.command
-    for key in _SUBCOMMANDS[args.command][1]:
-        if hasattr(args, key):
-            setattr(cfg, key, getattr(args, key))
+    flags = {key: getattr(args, key) for key in _SUBCOMMANDS[args.command][1]
+             if hasattr(args, key)}
+    flags["command"] = args.command
     if args.command == "reproduce":
         # a preset runs its own parameters, so a physics flag or file key
         # would be recorded in the sidecar beside data not computed with it
-        ignored = (["--" + key for key in _PHYSICS_KEYS if hasattr(args, key)]
+        ignored = (["--" + key for key in _PHYSICS_KEYS if key in flags]
                    + [f"{key} in {args.config}" for key in _PHYSICS_KEYS if key in values])
         if ignored:
             raise ConfigError(f"reproduce runs the preset's own parameters; "
                               f"{', '.join(ignored)} cannot change them")
-        cfg.reproduce = args.figure
-    cfg.validate()
+        flags["reproduce"] = args.figure
+    cfg = cfgmod.RunConfig(**{**values, **flags}).validate()
     directory = os.path.dirname(cfg.output or "") or "."  # fail before the work
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ConfigError(f"output prefix {cfg.output!r}: cannot write to {directory!r}")
     return cfg
 
 
-def _fmt(x):
-    if isinstance(x, (np.floating, float)):
-        return repr(float(x))
-    if isinstance(x, (np.complexfloating, complex)):
-        return repr(complex(x))
-    return str(x)
-
-
 def write_csv(path, columns, units=None):
     """CSV with a header naming columns and units, full precision."""
     units = units or {}
-    names = list(columns)
-    header = ",".join(
-        f"{n} ({units[n]})" if n in units else n for n in names
-    )
-    arrays = [np.asarray(columns[n]) for n in names]
-    n_rows = len(arrays[0])
+    header = ",".join(f"{n} ({units[n]})" if n in units else n for n in columns)
+    arrays = [np.asarray(v) for v in columns.values()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(n_rows):
-            fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
+        for i in range(len(arrays[0])):
+            fh.write(",".join(cfgmod._render_value(a[i]) for a in arrays) + "\n")
 
 
 def write_sidecar(path, cfg, extra=None):
-    payload = {
-        "version": __version__,
-        "command": cfg.command,
-        "config": cfgmod.render_config(cfg),
-    }
-    payload.update(extra or {})
+    payload = {"version": __version__, "command": cfg.command,
+               "config": cfgmod.render_config(cfg), **(extra or {})}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=cfgmod._render_value)
         fh.write("\n")
 
 
-def _prefix(cfg, default):
-    return cfg.output if cfg.output else default
+def _emit(cfg, name, columns, units=None, extra=None):
+    """Write ``{prefix}.csv`` and its sidecar ``{prefix}.json``; returns the prefix."""
+    prefix = cfg.output or f"sfgsim_{name}"
+    write_csv(f"{prefix}.csv", columns, units)
+    write_sidecar(f"{prefix}.json", cfg, extra)
+    return prefix
 
 
 def _cmd_steady(cfg):
@@ -187,18 +174,14 @@ def _cmd_steady(cfg):
         amp, intensity = steady.drive_ratios(params)
         print(f"critical drive: {cp.epsilon_c:.6g} (alpha_c {cp.alpha_c:.6g})")
         print(f"drive ratio: amplitude {amp:.4f}, intensity {intensity:.4f}")
-        columns.update({
-            "epsilon_c": [cp.epsilon_c], "alpha_c": [cp.alpha_c],
-            "amplitude_ratio": [amp], "intensity_ratio": [intensity],
-        })
-    prefix = _prefix(cfg, "sfgsim_steady")
-    write_csv(f"{prefix}.csv", columns)
-    write_sidecar(f"{prefix}.json", cfg)
+        columns.update(epsilon_c=[cp.epsilon_c], alpha_c=[cp.alpha_c],
+                       amplitude_ratio=[amp], intensity_ratio=[intensity])
+    _emit(cfg, "steady", columns)
     return EXIT_OK
 
 
 def _cmd_stability_map(cfg):
-    if abs(cfg.gamma1 - cfg.gamma2) > 1e-12 * max(cfg.gamma1, cfg.gamma2):
+    if not SystemParams(cfg.kappa, cfg.gamma1, cfg.gamma2).is_symmetric:
         raise ConfigError("stability-map requires gamma1 == gamma2")
     ratios = np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.n_ratio)
     closed_top = steady.critical_point(SystemParams.symmetric(
@@ -215,9 +198,7 @@ def _cmd_stability_map(cfg):
         mark = f"{r.epsilon_boundary:.6g}" if r.bracketed else f"NOT BRACKETED ({r.note})"
         print(f"gamma3/gamma {r.gamma3_over_gamma:8.3f}: boundary {mark}  "
               f"closed form {r.epsilon_closed_form:.6g}")
-    prefix = _prefix(cfg, "sfgsim_stability_map")
-    write_csv(f"{prefix}.csv", columns)
-    write_sidecar(f"{prefix}.json", cfg)
+    _emit(cfg, "stability_map", columns)
     return EXIT_OK
 
 
@@ -234,9 +215,7 @@ def _cmd_spectrum(cfg):
     columns["epr21"] = spectra.spectral_epr(result, 2, 1)
     units = {k: "shot-noise units" for k in columns if k != "omega"}
     units["omega"] = "rad/time"
-    prefix = _prefix(cfg, "sfgsim_spectrum")
-    write_csv(f"{prefix}.csv", columns, units)
-    write_sidecar(f"{prefix}.json", cfg, {
+    prefix = _emit(cfg, "spectrum", columns, units, {
         "stability_margin": steady.stability(params, result.steady_state).margin,
         "max_asymmetry": result.max_asymmetry,
     })
@@ -267,12 +246,8 @@ def _cmd_simulate(cfg):
             continue
         columns[name] = s.values
         columns[f"{name}_se"] = s.se
-    prefix = _prefix(cfg, "sfgsim_simulate")
-    write_csv(f"{prefix}.csv", columns)
-    write_sidecar(f"{prefix}.json", cfg, {
-        "n_traj": tcfg.n_traj,
-        "n_diverged": table.n_diverged,
-    })
+    prefix = _emit(cfg, "simulate", columns,
+                   extra={"n_traj": tcfg.n_traj, "n_diverged": table.n_diverged})
     print(f"wrote {prefix}.csv ({table.config.n_samples} samples, "
           f"{table.n_diverged} diverged)")
     return EXIT_OK
@@ -306,9 +281,7 @@ print("wrote", {png_name!r})
 def _cmd_reproduce(cfg, plot_script=False):
     preset = presetsmod.PRESETS[cfg.reproduce]
     result = preset.run(n_traj=cfg.n_traj, seed=cfg.seed, threads=cfg.threads)
-    prefix = _prefix(cfg, f"sfgsim_{preset.name}")
-    write_csv(f"{prefix}.csv", result.columns, result.units)
-    write_sidecar(f"{prefix}.json", cfg, {
+    prefix = _emit(cfg, preset.name, result.columns, result.units, {
         "preset": preset.name,
         "description": preset.description,
         "parameters": preset.parameters,
@@ -322,10 +295,11 @@ def _cmd_reproduce(cfg, plot_script=False):
         status = "PASS" if c.passed else "FAIL"
         print(f"  [{status}] {c.name}: {c.detail}")
     if plot_script:
+        axis = next(iter(result.columns))
         script = _PLOT_TEMPLATE.format(
             name=preset.name, description=preset.description,
-            csv_name=f"{prefix}.csv", axis=result.axis_name,
-            axis_label=f"{result.axis_name} ({result.axis_unit})",
+            csv_name=f"{prefix}.csv", axis=axis,
+            axis_label=f"{axis} ({result.axis_unit})",
             png_name=f"{prefix}.png",
         )
         with open(f"{prefix}_plot.py", "w", encoding="utf-8") as fh:
@@ -343,15 +317,9 @@ def main(argv=None):
             return _cmd_reproduce(cfg, plot_script=args.plot_script)
         return {"steady": _cmd_steady, "stability-map": _cmd_stability_map,
                 "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg)
-    except UnstableOperatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except EnsembleQualityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENSEMBLE
     except (SfgsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -94,8 +94,10 @@ class RunConfig:
             raise ConfigError("invariant violated: seed must fit in 64 bits")
         if self.n_omega < 2:
             raise ConfigError("invariant violated: n_omega >= 2")
-        if not 0 < self.ratio_min <= self.ratio_max:
-            raise ConfigError("invariant violated: 0 < ratio_min <= ratio_max")
+        if not 0 < self.ratio_min <= self.ratio_max or (
+                self.ratio_min == self.ratio_max and self.n_ratio != 1):
+            raise ConfigError("invariant violated: 0 < ratio_min < ratio_max "
+                              "(ratio_max == ratio_min only with n_ratio 1)")
         if self.n_ratio < 1:
             raise ConfigError("invariant violated: n_ratio >= 1")
         if self.eps_max is not None and not self.eps_max > 0:
@@ -164,12 +166,13 @@ def config_values(text):
 
 
 def _render_value(value):
+    """Text of one value, numpy scalars included: config files, CSV cells, sidecars."""
     if value is None:
         return "auto"
-    if isinstance(value, complex):
-        return repr(value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (np.floating, float)):
+        return repr(float(value))
+    if isinstance(value, (np.complexfloating, complex)):
+        return repr(complex(value))
     return str(value)
 
 

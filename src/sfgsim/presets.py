@@ -10,6 +10,7 @@ pumps, and ``fig8`` follows the above-threshold regime where the
 semiclassical prediction breaks down.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,10 +44,8 @@ class Check:
 class PresetResult:
     """Sweep data plus metadata, ready for CSV emission."""
 
-    name: str
-    axis_name: str
     axis_unit: str
-    columns: dict            # name -> 1-D array, all on the shared axis
+    columns: dict            # name -> 1-D array; the first is the shared axis
     units: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -89,10 +88,9 @@ def _run_metadata(table):
 
 def _on_tw_ensemble(analyse):
     """Runner of ``analyse(preset, table)`` on the travelling-wave ensemble (fig1-fig3)."""
-    def run(preset, n_traj=None, seed=None, threads=None, table=None):
-        if table is None:
-            table = travelling_wave_ensemble(n_traj or preset.default_n_traj, seed, threads)
-        return analyse(preset, table)
+    def run(preset, n_traj=None, seed=None, threads=None):
+        return analyse(preset, travelling_wave_ensemble(
+            n_traj or preset.default_n_traj, seed, threads))
     return run
 
 
@@ -111,23 +109,17 @@ def _run_fig1(preset, table):
     cols = intensity_columns(inten, se)
 
     checks = []
-    # photon-exchange conservation over the early window
+    # photon-exchange conservation over the early window (Manley-Rowe)
     early = (t <= 3.0) & (t > 0)
-    for label, pick in (("n1+n3", (0, 2)), ("n2+n3", (1, 2))):
+    for i, sign, op, j in ((0, "+", operator.add, 2), (1, "+", operator.add, 2),
+                           (0, "-", operator.sub, 1)):
         val, vse = table.batch_statistic(
-            lambda v, p=pick: np.real(v.apa[:, p[0], p[0]] + v.apa[:, p[1], p[1]]))
+            lambda v, i=i, op=op, j=j: np.real(op(v.apa[:, i, i], v.apa[:, j, j])))
         dev = np.abs(val[early] - val[0]) / np.where(vse[early] > 0, vse[early], np.inf)
         checks.append(Check(
-            f"conserved {label}", bool(np.max(dev) <= 3.0),
+            f"conserved n{i + 1}{sign}n{j + 1}", bool(np.max(dev) <= 3.0),
             f"max deviation {np.max(dev):.2f} SE (limit 3)",
         ))
-    val, vse = table.batch_statistic(
-        lambda v: np.real(v.apa[:, 0, 0] - v.apa[:, 1, 1]))
-    dev = np.abs(val[early]) / np.where(vse[early] > 0, vse[early], np.inf)
-    checks.append(Check(
-        "conserved n1-n2", bool(np.max(dev) <= 3.0),
-        f"max deviation {np.max(dev):.2f} SE (limit 3)",
-    ))
 
     n3 = inten[:, 2]
     total0 = inten[0, 0] + inten[0, 1]
@@ -145,8 +137,7 @@ def _run_fig1(preset, table):
     ))
 
     return PresetResult(
-        name=preset.name, axis_name="zeta", axis_unit="dimensionless",
-        columns={"zeta": t, **cols},
+        axis_unit="dimensionless", columns={"zeta": t, **cols},
         units={k: "photons" for k in cols},
         metadata={"peak_zeta": float(t[pk]), **_run_metadata(table)},
         checks=checks,
@@ -172,7 +163,7 @@ def _run_fig2(preset, table):
               f"Fano below 1 by {z_f:.1f} SE at early times (need > 3)"),
     ]
     return PresetResult(
-        name=preset.name, axis_name="zeta", axis_unit="dimensionless",
+        axis_unit="dimensionless",
         columns={"zeta": t, "vx3": vx3.values, "vx3_se": vx3.se,
                  "fano_n1n2": fano12.values, "fano_n1n2_se": fano12.se},
         units={"vx3": "shot-noise units", "fano_n1n2": "dimensionless"},
@@ -197,7 +188,7 @@ def _run_fig3(preset, table):
               f"EPR product below 1 by {z_epr:.1f} SE (need > 3)"),
     ]
     return PresetResult(
-        name=preset.name, axis_name="zeta", axis_unit="dimensionless",
+        axis_unit="dimensionless",
         columns={"zeta": t,
                  "duan_simon_over4": ds.values / 4.0, "duan_simon_over4_se": ds.se / 4.0,
                  "epr12": epr12.values, "epr12_se": epr12.se,
@@ -240,8 +231,7 @@ def _spectral_family(column, series, threshold, strongest_only=False):
             "minima " + " > ".join(f"{m:.4f}" for m in depths),
         ))
         return PresetResult(
-            name=preset.name, axis_name="omega", axis_unit="units of gamma1",
-            columns=cols,
+            axis_unit="units of gamma1", columns=cols,
             metadata={"minima": {str(k): v for k, v in minima.items()}},
             checks=checks,
         )
@@ -260,7 +250,7 @@ def _run_fig7(preset, **_):
               f"min EPR21 = {epr21.min():.4f} (need >= 1)"),
     ]
     return PresetResult(
-        name=preset.name, axis_name="omega", axis_unit="units of gamma1",
+        axis_unit="units of gamma1",
         columns={"omega": res.omega, "epr12": epr12, "epr21": epr21},
         metadata={"steady_state": [res.steady_state.alpha1, res.steady_state.alpha2,
                                    res.steady_state.alpha3]},
@@ -294,8 +284,7 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     cols = {"t": table.times, **intensity_columns(inten, se),
             **{f"semiclassical_n{j + 1}": sc_n[:, j] for j in range(3)}}
     return PresetResult(
-        name=preset.name, axis_name="t", axis_unit="1/gamma1",
-        columns=cols,
+        axis_unit="1/gamma1", columns=cols,
         units={k: "photons" for k in cols if k != "t"},
         metadata={"fixed_point_n": list(fp), **_run_metadata(table)},
         checks=checks,

@@ -125,9 +125,7 @@ def classical_rhs(params, x, out=None):
     complex array of that shape that does not overlap ``x``, receives the
     rows instead of a new array; a block ``out`` that is not C-contiguous
     raises ValueError.  A (6,) state goes through ``flow_rows``, a block
-    through ``block_flow``, which the ensemble step binds once per pass:
-    its buffers are fixed for the pass, and at the figures' narrow widths
-    a call costs numpy's per-call overhead more than arithmetic.
+    through ``block_flow``, which the ensemble step binds once per pass.
     """
     if np.ndim(x) == 1:
         if out is None:
@@ -147,10 +145,9 @@ def block_flow(params, x, out, scratch, coefficients=None):
         rows 0-3:  E - G x[0:4] + y[3::-1].reshape(2, 2, n) * x[4:6]
         rows 4-5:  (-g3) x[4:6] - y[0:2] * x[2:4]
 
-    each the written-out operation in its operand order (numpy's fused
-    multiply-add rounds ``a*b`` and ``b*a`` differently), none writing a
-    product over its own input, so an idle mode's ``eps - gamma a`` is
-    +0+0j as written out (``test_classical_rhs_is_the_written_out_flow_bit_for_bit``).
+    each the written-out operation under the rounding invariant of the
+    ``trajectories`` module docstring, so an idle mode's ``eps - gamma a``
+    is +0+0j as written out.
     Every view of ``x``, ``out`` and ``scratch`` (C-contiguous complex
     (6, n), none overlapping) is taken here, once, for a caller that
     writes each new state into ``x``.  ``coefficients``: ``block_coefficients(params, n)``.
@@ -256,8 +253,6 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
     fixed-point equations.  A cubic beyond float64's range raises
     SteadyStateError without a warning.
     """
-    if not params.is_symmetric:
-        raise ParameterError("solve_steady_symmetric requires symmetric parameters")
     eps_c = params.symmetric_eps()
     if eps_c.imag != 0 or eps_c.real < 0:
         raise ParameterError("closed-form solution requires a real nonnegative pump")
@@ -398,11 +393,9 @@ def eigenvalues_symmetric(params: SystemParams, ss: SteadyStateSolution):
     Returned in the conventional order (l1, l2, l3, l4, l5, l6); l1 is the
     branch that crosses zero at the critical drive.
     """
-    if not params.is_symmetric:
-        raise ParameterError("eigenvalues_symmetric requires symmetric parameters")
+    gamma = params.symmetric_gamma()
     if abs(np.imag(ss.alpha1)) > 1e-9 or abs(np.imag(ss.alpha3)) > 1e-9:
         raise ParameterError("eigenvalues_symmetric requires a real steady state")
-    gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
     k = params.kappa
     a = np.real(ss.alpha1)
@@ -441,8 +434,6 @@ def critical_point(params: SystemParams) -> CriticalPoint:
     alpha_c = epsilon_c/(2 gamma); asymmetric driving has no such simple
     expression and is rejected.
     """
-    if not params.is_symmetric:
-        raise ParameterError("critical_point is defined for symmetric driving only")
     gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
     if gamma <= 0 or gamma3 <= 0:

@@ -23,18 +23,21 @@ Each pass binds its step once (``_midpoint_step``): the state, its
 buffers and one noise block are fixed for the pass, so every view, both
 bound drifts and the scalars are built once and a step is only its ufunc
 calls, since at the figures' 256-400 widths a call costs numpy's per-call
-overhead more than arithmetic.  Trajectories are processed in chunks of
-about TRAJECTORY_CHUNK so that the state and its buffers stay in the
-core's cache across the midpoint iterations.  Every complex product is written
-to a buffer distinct from its operands, in the operand order of the
-written-out scheme: numpy's complex multiply may round ``a*b`` and
-``b*a``, or a product written over its own input, differently in the
-last bit, and the width-1 path ``step`` must match the ensemble bit for
-bit.  The noise pairs w1 + i w3 and w2 + i w4 are copied into the real
-and imaginary parts of a complex buffer and conjugated for w1 - i w3 and
-w2 - i w4, rather than formed by multiplying by 1j and adding.  An
-ensemble pass ends at its last sample (see ``TrajectoryConfig``),
-because steps after it feed no moment.
+overhead more than arithmetic.  The noise pairs w1 + i w3 and w2 + i w4
+are copied into the real and imaginary parts of a complex buffer and
+conjugated for w1 - i w3 and w2 - i w4, rather than formed by multiplying
+by 1j and adding.  An ensemble pass ends at its last sample (see
+``TrajectoryConfig``), because steps after it feed no moment.
+
+The rounding invariant: each complex product goes to a buffer distinct
+from its operands, in the written-out operand order, since numpy may
+round ``a*b`` and ``b*a``, or a product written over its own input,
+differently in the last bit.  It makes the drift, the width-1 ``step``
+and the ensemble agree bit for bit; pinned by
+``test_classical_rhs_is_the_written_out_flow_bit_for_bit``,
+``test_step_matches_the_scalar_step_at_signed_zeros``,
+``test_small_ensemble_matches_scalar_reference_exactly`` and
+``test_global_view_is_the_stacked_combination_bit_for_bit``.
 
 ``semiclassical_trajectory`` runs the same step with zero noise on Python
 complex scalars through ``steady.flow_rows``, since a width-1 block
@@ -77,17 +80,10 @@ MIDPOINT_ITERATIONS = 3
 # Diverged fraction beyond which the ensemble is rejected outright.
 MAX_DIVERGED_FRACTION = 1e-4
 
-# Vectorization width target: whole batches are grouped into processing
-# chunks of roughly this many trajectories.  Performance only - batch
-# sums are computed per batch segment, so results never depend on it.
-# At 2048 a chunk's state and step buffers (about 1.1 MB of complex arrays)
-# stay in cache through the three midpoint iterations; much wider chunks
-# stream every elementwise operation through memory, much narrower ones
-# pay numpy's per-call overhead.  A 16384-trajectory, 256-step
-# travelling-wave ensemble, one thread, two sets of eight interleaved runs
-# on a shared 2-core host, median s: 1.75 and 1.94 at 1024, 1.88 and 1.94
-# at 2048 (quartile spread 0.11-0.24), 2.05 and 2.23 at 4096; before the
-# step was bound once per pass, 8192, 32768 and 512 ran 4-40% slower.
+# Vectorization width target: whole batches are grouped into chunks of
+# roughly this many trajectories, whose state and step buffers (about
+# 1.1 MB) stay in cache through the midpoint iterations.  Performance only:
+# batch sums are per batch segment, so results never depend on it.
 TRAJECTORY_CHUNK = 2048
 
 # Byte budget of a pass's reused noise buffer.  Each draw_block call fills
@@ -254,10 +250,9 @@ class MomentTable:
         return np.nonzero(self.batch_valid > 0)[0]
 
     def _combine(self, arr):
-        # a running total over the nonempty batches, from +0 like numpy's
-        # sum over axis 0 (row by row, in order): the same bits as the
-        # stacked ``(arr[idx] * w).sum(axis=0)`` without its two B-row
-        # temporaries; no nonempty batch gives 0/0 = NaN
+        # the stacked (arr[idx] * w).sum(axis=0) as a running total from +0,
+        # without its two B-row temporaries (the rounding invariant of the
+        # module docstring); no nonempty batch gives 0/0 = NaN
         idx = self.nonempty
         w = self.batch_valid[idx].astype(float)
         total = np.zeros(arr.shape[1:], dtype=complex)
@@ -306,7 +301,7 @@ def _midpoint_step(params, s, dt):
     on the noiseless components only.
     """
     n = s.shape[1]
-    # midpoint, drift at the midpoint, products (never their own inputs)
+    # midpoint, drift at the midpoint, products (the rounding invariant)
     m, F, t = np.empty((3, 6, n), dtype=complex)
     # noise pairs w0 + i w2, w1 + i w3, w0 - i w2, w1 - i w3
     pairs = np.empty((4, n), dtype=complex)

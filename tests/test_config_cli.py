@@ -19,6 +19,7 @@ from sfgsim.config import (
     FIGURES,
     MODES,
     RunConfig,
+    _render_value,
     omega_grid,
     parse_config,
     render_config,
@@ -54,6 +55,10 @@ def test_invariant_violation_names_the_invariant():
     with pytest.raises(ConfigError) as err:
         parse_config("kappa=-1\n")
     assert "kappa > 0" in str(err.value)
+    # equal stability-map bounds make a one-point grid only
+    with pytest.raises(ConfigError, match="ratio_max"):
+        parse_config("ratio_min=2\nratio_max=2\n")
+    assert parse_config("ratio_min=2\nratio_max=2\nn_ratio=1\n").n_ratio == 1
 
 
 def test_reproduce_key():
@@ -116,7 +121,8 @@ def run_configs(draw):
         omega_min=draw(_optional(_FINITE)), omega_max=draw(_optional(_FINITE)),
         n_omega=draw(st.integers(2, 10**9)),
         ratio_min=ratio_min, ratio_max=ratio_max,
-        n_ratio=draw(st.integers(1, 10**9)),
+        # equal bounds make a one-point grid only
+        n_ratio=1 if ratio_min == ratio_max else draw(st.integers(1, 10**9)),
         eps_max=draw(_optional(_POSITIVE)),
         reproduce=draw(_optional(st.sampled_from(FIGURES))),
         output=draw(_optional(output)),
@@ -130,6 +136,33 @@ def test_round_trip_property(cfg):
     text = render_config(cfg)
     assert parse_config(text) == cfg
     assert render_config(parse_config(text)) == text
+
+
+# one formatter for config text, CSV cells and sidecar values; these are
+# the formats the CSV writer and the config renderer each gave before
+_FORMATS = [
+    (None, "auto"),
+    (0.1, "0.1"), (-0.0, "-0.0"), (float("nan"), "nan"), (1e300, "1e+300"),
+    (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"), (np.float64("nan"), "nan"),
+    (np.float64(1e300), "1e+300"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (complex(-0.0, 1.5), "(-0+1.5j)"), (complex(2.0, -0.0), "(2-0j)"),
+    (np.complex128(1 - 2j), "(1-2j)"), (np.complex128(complex(-0.0, -0.0)), "(-0-0j)"),
+    (True, "True"), (np.bool_(False), "False"), (7, "7"), ("closed-form", "closed-form"),
+]
+
+
+@pytest.mark.parametrize("value, text", _FORMATS,
+                         ids=[f"{type(v).__name__}-{t}" for v, t in _FORMATS])
+def test_one_value_formatter(value, text, tmp_path):
+    assert _render_value(value) == text
+    if value is None:
+        return  # JSON writes null, and no CSV column holds None
+    cli.write_csv(tmp_path / "v.csv", {"v": [value]})
+    assert (tmp_path / "v.csv").read_text().splitlines() == ["v", text]
+    cli.write_sidecar(tmp_path / "v.json", RunConfig(), {"v": value})
+    # JSON writes its own floats, ints and bools; the formatter writes the rest
+    assert str(json.loads((tmp_path / "v.json").read_text())["v"]) == text
 
 
 def test_validate_rejects_non_finite_values():
@@ -249,13 +282,15 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
      "kappa in physics.cfg, eps1 in physics.cfg"),
     (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"], {},
      "automatic dt needs a positive loss rate"),
+    (["stability-map", "--ratio-min", "2", "--ratio-max", "2"], {}, "ratio_max"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
-        "reproduce-physics-config-key", "undamped-cavity-automatic-dt"])
+        "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
+        "stability-map-equal-ratio-bounds"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -388,3 +423,9 @@ def test_cli_flags_override_config_file(tmp_path):
                  "--output", "o"], tmp_path)
     assert r.returncode == 0, r.stderr
     assert "-25.42" in r.stdout  # the eps=200 operating point won
+    # a file value that a flag overrides is never validated on its own
+    (tmp_path / "bad.cfg").write_text("kappa=-1\neps1=600.0\n")
+    r = run_cli(["steady", "--config", "bad.cfg", "--kappa", "0.01", "--eps1", "200",
+                 "--eps2", "200", "--output", "o"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "-25.42" in r.stdout
