@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: ``steady``, ``stability-map``, ``spectrum``,
-``simulate --mode tw|cavity`` and ``reproduce figN``.  Each subcommand's
+``simulate --mode tw|cavity`` and ``reproduce FIG [FIG ...]``; with several
+figures, ``--output P`` writes each figure under ``P_figN``.  Each subcommand's
 flags are generated from the ``RunConfig`` keys it exposes (the
 ``_SUBCOMMANDS`` table); a flag's value parses exactly as the same key
 does in a configuration file, and flags override values read with
@@ -18,6 +19,7 @@ and checked like the ``threads`` key.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -68,7 +70,7 @@ _SUBCOMMANDS = {
                  _PARAM_KEYS + ("omega_min", "omega_max", "n_omega")),
     "simulate": ("stochastic trajectory ensemble",
                  _PARAM_KEYS + _TRAJECTORY_KEYS + ("mode",)),
-    "reproduce": ("run a named scenario preset", _PARAM_KEYS + ("n_traj", "seed")),
+    "reproduce": ("run named scenario presets", _PARAM_KEYS + ("n_traj", "seed")),
 }
 
 # argparse settings beyond the value type, which always comes from the schema
@@ -95,7 +97,8 @@ def build_parser():
                            type=functools.partial(cfgmod._parse_value, key),
                            default=argparse.SUPPRESS, **_FLAG_EXTRAS.get(key, {}))
     p = sub.choices["reproduce"]
-    p.add_argument("figure", choices=sorted(presetsmod.PRESETS))
+    p.add_argument("figure", nargs="+", choices=sorted(presetsmod.PRESETS), metavar="FIG",
+                   help="fig1 to fig8; with several, --output P writes P_figN")
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a matplotlib script for the CSV")
     return parser
@@ -118,7 +121,10 @@ def _merge_config(args):
         if ignored:
             raise ConfigError(f"reproduce runs the preset's own parameters; "
                               f"{', '.join(ignored)} cannot change them")
-        flags["reproduce"] = args.figure
+        repeated = sorted({fig for fig in args.figure if args.figure.count(fig) > 1})
+        if repeated:
+            raise ConfigError(f"reproduce: {', '.join(repeated)} given more than once")
+        flags["reproduce"] = args.figure[0]
     cfg = cfgmod.RunConfig(**{**values, **flags}).validate()
     directory = os.path.dirname(cfg.output or "") or "."  # fail before the work
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
@@ -184,6 +190,9 @@ def _cmd_stability_map(cfg):
     if not SystemParams(cfg.kappa, cfg.gamma1, cfg.gamma2).is_symmetric:
         raise ConfigError("stability-map requires gamma1 == gamma2")
     ratios = np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.n_ratio)
+    if np.any(np.diff(ratios) <= 0):
+        raise ConfigError(f"ratio_min {cfg.ratio_min!r} and ratio_max {cfg.ratio_max!r} "
+                          f"are too close for n_ratio {cfg.n_ratio} distinct ratios")
     closed_top = steady.critical_point(SystemParams.symmetric(
         cfg.kappa, cfg.gamma1, cfg.ratio_max * cfg.gamma1, 0.0)).epsilon_c
     eps_hi = cfg.eps_max if cfg.eps_max is not None else 2.0 * closed_top
@@ -278,7 +287,15 @@ print("wrote", {png_name!r})
 """
 
 
-def _cmd_reproduce(cfg, plot_script=False):
+def _cmd_reproduce(cfg, figures, plot_script):
+    """Each figure in turn, as ``reproduce FIG`` alone would write it (``P_figN`` if several)."""
+    for fig in figures:
+        output = f"{cfg.output}_{fig}" if cfg.output and len(figures) > 1 else cfg.output
+        _reproduce_one(dataclasses.replace(cfg, reproduce=fig, output=output), plot_script)
+    return EXIT_OK
+
+
+def _reproduce_one(cfg, plot_script):
     preset = presetsmod.PRESETS[cfg.reproduce]
     result = preset.run(n_traj=cfg.n_traj, seed=cfg.seed, threads=cfg.threads)
     prefix = _emit(cfg, preset.name, result.columns, result.units, {
@@ -305,7 +322,6 @@ def _cmd_reproduce(cfg, plot_script=False):
         with open(f"{prefix}_plot.py", "w", encoding="utf-8") as fh:
             fh.write(script)
         print(f"wrote {prefix}_plot.py")
-    return EXIT_OK
 
 
 def main(argv=None):
@@ -314,7 +330,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
         if cfg.command == "reproduce":
-            return _cmd_reproduce(cfg, plot_script=args.plot_script)
+            return _cmd_reproduce(cfg, args.figure, args.plot_script)
         return {"steady": _cmd_steady, "stability-map": _cmd_stability_map,
                 "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg)
     except (SfgsimError, OSError) as exc:

@@ -8,9 +8,15 @@ dynamics, squeezing/sub-Poissonian statistics, entanglement measures),
 strength, ``fig7`` probes steering asymmetry with unequal losses and
 pumps, and ``fig8`` follows the above-threshold regime where the
 semiclassical prediction breaks down.
+
+The first of ``fig1``-``fig3`` run for an ``(n_traj, seed)`` integrates
+the ensemble once and keeps all three figures' results (or errors),
+dropping the ensemble itself.  A later call for the same key and figure
+takes its result once; any other call integrates again.
 """
 
 import operator
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -86,12 +92,35 @@ def _run_metadata(table):
             "seed": table.config.seed}
 
 
-def _on_tw_ensemble(analyse):
-    """Runner of ``analyse(preset, table)`` on the travelling-wave ensemble (fig1-fig3)."""
-    def run(preset, n_traj=None, seed=None, threads=None):
-        return analyse(preset, travelling_wave_ensemble(
-            n_traj or preset.default_n_traj, seed, threads))
-    return run
+# (n_traj, seed) -> {figure: PresetResult or the error its analysis raised},
+# at most one key; each entry is handed out once
+_PENDING = {}
+
+
+def _tw_analyses(key, threads):
+    """Every fig1-fig3 analysis of one ensemble, each with its own preset."""
+    table = travelling_wave_ensemble(*key, threads)
+    results = {}
+    for name, analyse in _TW_ANALYSES.items():
+        try:
+            results[name] = analyse(PRESETS[name], table)
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)
+            results[name] = exc
+    del table  # a stored error's frames reach this frame, which must not hold the table
+    return results
+
+
+def _run_tw(preset, n_traj=None, seed=None, threads=None):
+    """Runner of fig1-fig3: a pending result for this key, or a new ensemble."""
+    key = (n_traj or preset.default_n_traj, TW_SEED if seed is None else seed)
+    if preset.name not in _PENDING.get(key, ()):
+        _PENDING.clear()
+        _PENDING[key] = _tw_analyses(key, threads)
+    result = _PENDING[key].pop(preset.name)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _sig(values, se, bound):
@@ -102,7 +131,6 @@ def _sig(values, se, bound):
     return float(((bound - values[good]) / se[good]).max())
 
 
-@_on_tw_ensemble
 def _run_fig1(preset, table):
     inten, se = table.intensities()
     t = table.times
@@ -144,7 +172,6 @@ def _run_fig1(preset, table):
     )
 
 
-@_on_tw_ensemble
 def _run_fig2(preset, table):
     t = table.times
     vx3 = corr.quadrature_variance(table, corr.QuadratureSpec.x(3))
@@ -172,7 +199,6 @@ def _run_fig2(preset, table):
     )
 
 
-@_on_tw_ensemble
 def _run_fig3(preset, table):
     t = table.times
     ds = corr.duan_simon(table)
@@ -291,6 +317,7 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     )
 
 
+_TW_ANALYSES = {"fig1": _run_fig1, "fig2": _run_fig2, "fig3": _run_fig3}
 _TW_PARAMS = {"kappa": TW_KAPPA, "alpha1_0": TW_ALPHA0, "alpha2_0": TW_ALPHA0,
               "alpha3_0": 0.0}
 _SYM_SPEC_PARAMS = {
@@ -303,17 +330,17 @@ PRESETS = {
     "fig1": FigurePreset(
         "fig1",
         "travelling-wave mean intensities: conversion and quantum reconversion",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig1,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
     ),
     "fig2": FigurePreset(
         "fig2",
         "travelling-wave squeezing of X3 and Fano factor of the intensity sum",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig2,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
     ),
     "fig3": FigurePreset(
         "fig3",
         "travelling-wave joint-quadrature and inferred-variance entanglement",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_fig3,
+        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
     ),
     "fig4": FigurePreset(
         "fig4", "output squeezing spectra of X3 versus drive strength",

@@ -283,6 +283,10 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
     (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"], {},
      "automatic dt needs a positive loss rate"),
     (["stability-map", "--ratio-min", "2", "--ratio-max", "2"], {}, "ratio_max"),
+    (["stability-map", "--ratio-min", "1", "--ratio-max", "1.0000000000000002",
+      "--n-ratio", "3"], {},
+     "ratio_min 1.0 and ratio_max 1.0000000000000002 are too close for n_ratio 3"),
+    (["reproduce", "fig1", "fig4", "fig1", "--n-traj", "64"], {}, "fig1 given more than once"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -290,7 +294,8 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
         "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
-        "stability-map-equal-ratio-bounds"])
+        "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
+        "reproduce-repeated-figure"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -415,6 +420,35 @@ def test_cli_reproduce_trajectory_preset_small(tmp_path):
     assert meta["metadata"]["fixed_point_n"] == list(ss.intensities)
     header = (tmp_path / "f8.csv").read_text().splitlines()[0]
     assert "semiclassical_n3" in header
+
+
+def _reproduce_in(directory, argv, monkeypatch):
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    return cli.main(["reproduce", *argv, "--threads", "1"])
+
+
+def test_cli_reproduce_several_figures_writes_single_figure_files(tmp_path, monkeypatch):
+    size = ["--n-traj", "192", "--seed", "3"]
+    assert _reproduce_in(tmp_path / "multi", ["fig1", "fig2", "fig3", *size,
+                                              "--output", "p"], monkeypatch) == 0
+    for fig in ("fig1", "fig2", "fig3"):
+        assert _reproduce_in(tmp_path / fig, [fig, *size, "--output", f"p_{fig}"],
+                             monkeypatch) == 0
+        for suffix in (".csv", ".json"):
+            name = f"p_{fig}{suffix}"
+            assert (tmp_path / "multi" / name).read_bytes() == \
+                (tmp_path / fig / name).read_bytes(), name
+
+
+def test_cli_reproduce_stops_at_the_first_failing_figure(tmp_path, monkeypatch, capsys):
+    code = _reproduce_in(tmp_path / "run", ["fig1", "fig2", "fig3", "--n-traj", "64",
+                                            "--seed", "3", "--output", "p"], monkeypatch)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: V(X3(theta=0)): imaginary residue 7.623e+01 exceeds tolerance; "
+                   "moment table is inconsistent"]
+    assert sorted(os.listdir(tmp_path / "run")) == ["p_fig1.csv", "p_fig1.json"]
 
 
 def test_cli_flags_override_config_file(tmp_path):

@@ -1,0 +1,71 @@
+"""fig1-fig3 share one travelling-wave ensemble, each result handed out once."""
+
+import weakref
+
+import pytest
+from numpy.testing import assert_array_equal
+
+from sfgsim import presets, trajectories
+from sfgsim.errors import CorrelationError
+
+# the errors fig2 and fig3 raise on their own at 64 trajectories, seed 3
+FIG2_ERROR = ("V(X3(theta=0)): imaginary residue 7.623e+01 exceeds tolerance; "
+              "moment table is inconsistent")
+FIG3_ERROR = ("V(X1+X2)+V(Y1-Y2): imaginary residue 1.625e+00 exceeds tolerance; "
+              "moment table is inconsistent")
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Weak references to every table ``run_ensemble`` returns, in call order."""
+    made = []
+    run_ensemble = trajectories.run_ensemble
+
+    def counted(*args, **kwargs):
+        table = run_ensemble(*args, **kwargs)
+        made.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(trajectories, "run_ensemble", counted)
+    return made
+
+
+def run(fig, n_traj=64, seed=3):
+    return presets.PRESETS[fig].run(n_traj=n_traj, seed=seed, threads=1)
+
+
+def test_one_ensemble_per_key_each_result_handed_out_once(tables):
+    first = run("fig1")
+    assert len(tables) == 1 and tables[0]() is None  # freed, though errors are pending
+    assert first.metadata["n_traj"] == 64
+    with pytest.raises(CorrelationError) as fig2:
+        run("fig2")
+    assert str(fig2.value) == FIG2_ERROR
+    with pytest.raises(CorrelationError) as fig3:
+        run("fig3")
+    assert str(fig3.value) == FIG3_ERROR
+    assert len(tables) == 1
+    # a figure asked for again integrates again, with the same result
+    assert_array_equal(run("fig1").columns["n3"], first.columns["n3"])
+    assert len(tables) == 2
+    # a new key replaces the pending results of the old one
+    with pytest.raises(CorrelationError):
+        run("fig2", seed=4)
+    with pytest.raises(CorrelationError, match="imaginary residue 1.625e"):
+        run("fig3")
+    assert len(tables) == 4
+    assert list(presets._PENDING) == [(64, 3)]
+
+
+def test_shared_results_equal_fresh_runs(tables):
+    run("fig1", n_traj=192)
+    shared = {fig: run(fig, n_traj=192) for fig in ("fig2", "fig3")}
+    assert len(tables) == 1
+    for fig, result in shared.items():
+        presets._PENDING.clear()
+        fresh = run(fig, n_traj=192, seed=3)
+        assert list(fresh.columns) == list(result.columns)
+        for name, column in fresh.columns.items():
+            assert_array_equal(result.columns[name], column, err_msg=f"{fig} {name}")
+        assert fresh.metadata == result.metadata and fresh.checks == result.checks
+    assert len(tables) == 3
