@@ -105,9 +105,12 @@ def _tw_analyses(key, threads):
         try:
             results[name] = analyse(PRESETS[name], table)
         except Exception as exc:
-            traceback.clear_frames(exc.__traceback__)
-            results[name] = exc
-    del table  # a stored error's frames reach this frame, which must not hold the table
+            # kept without its traceback, whose frames would hold this call
+            # and its callers alive while the error waits; where it was
+            # raised stays as a note
+            where = "".join(traceback.format_tb(exc.__traceback__)).rstrip()
+            exc.add_note(f"raised in the shared fig1-fig3 analysis at:\n{where}")
+            results[name] = exc.with_traceback(None)
     return results
 
 

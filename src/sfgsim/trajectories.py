@@ -60,8 +60,10 @@ second copy of the table.
 """
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -82,13 +84,13 @@ MAX_DIVERGED_FRACTION = 1e-4
 
 # Vectorization width target: whole batches are grouped into chunks of
 # roughly this many trajectories, whose state and step buffers (about
-# 1.1 MB) stay in cache through the midpoint iterations.  Performance only:
+# 0.55 MB) stay in cache through the midpoint iterations.  Performance only:
 # batch sums are per batch segment, so results never depend on it.
-TRAJECTORY_CHUNK = 2048
+TRAJECTORY_CHUNK = 1024
 
 # Byte budget of a pass's reused noise buffer.  Each draw_block call fills
 # the largest odd number of steps that fit (255 steps of a 256-wide chunk,
-# 31 of a 2048-wide one), but at least one, so only a chunk wider than
+# 63 of a 1024-wide one), but at least one, so only a chunk wider than
 # 65536 trajectories (one step of noise) exceeds it.  An eighth of it
 # bounds a pass's block of sampled states.  Performance and memory only:
 # the streams and the moments do not depend on it.
@@ -409,13 +411,17 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
         table[:, rec] += np.add.reduceat(x, segments, axis=0).reshape(-1, nb, *tail).swapaxes(0, 1)
 
 
-def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep):
+def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
     n = hi - lo
     s = np.repeat(init.as_array()[:, None], n, axis=1)
     advance = _midpoint_step(params, s, dt_raw)
     alive = np.ones(n, dtype=bool)
     accumulate_sample(sums, slice(0, 1), s.T, segments, keep)
-    gens = [trajectory_generator(cfg.seed, i) for i in range(lo, hi)]
+    # trajectory i's stream, on a generator of ``spare`` re-keyed where the
+    # list has one; the list keeps any new and any surplus generators
+    gens = [trajectory_generator(cfg.seed, i, reuse)
+            for i, reuse in zip_longest(range(lo, hi), spare[:n])]
+    spare[:n] = gens
 
     # steps after the last sample feed no sample, alive check or moment
     stride = cfg.sample_stride
@@ -470,7 +476,11 @@ def run_ensemble(params, init, cfg, threads=None):
     once, plus for each chunk in flight its state, step buffers, noise
     buffer (at most NOISE_BLOCK_BYTES for chunks up to 65536
     trajectories) and block of sampled states (an eighth of that, or one
-    sample), whatever the ensemble size or thread count.
+    sample), whatever the ensemble size or thread count.  Each running
+    worker holds one list of generators, one per trajectory of the widest
+    chunk it has run, which its later passes re-key rather than rebuild:
+    at most min(threads, chunks) lists exist, handed from a finished pass
+    to the next through a queue.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -498,6 +508,8 @@ def run_ensemble(params, init, cfg, threads=None):
               for _, right in MOMENTS.values()]
     valid = np.zeros(B, dtype=int)
     diverged = np.zeros(len(groups), dtype=int)
+    # generator lists of finished passes; a group takes one, or starts one
+    spares = queue.SimpleQueue()
 
     def do_group(gi):
         # _batch_bounds gives the extra trajectories to the first batches,
@@ -510,14 +522,19 @@ def run_ensemble(params, init, cfg, threads=None):
             return
         segments = bounds[rows] - lo
         sums = MomentView(*(t[rows] for t in tables))
-        alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=None)
+        try:
+            spare = spares.get_nowait()
+        except queue.Empty:
+            spare = []
+        alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=None)
         if not alive.all():
             # integrate again with the diverged trajectories zero-weighted
             # from t=0, so they never touch any average; the noise streams
             # are counter-based and replay exactly
             for t in tables:
                 t[rows] = 0
-            _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, keep=alive)
+            _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=alive)
+        spares.put(spare)
         valid[rows] = np.add.reduceat(alive.astype(int), segments)
         diverged[gi] = hi - lo - np.count_nonzero(alive)
 

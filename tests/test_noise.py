@@ -78,3 +78,27 @@ def test_draw_block_pieces_are_the_keyed_philox_streams():
         block = draw_block(gens, n, out=buf)
         for row, ref in zip(block, refs):
             assert np.array_equal(row, ref.standard_normal((n, NOISES_PER_STEP)))
+
+
+def state_words(gen):
+    state = gen.bit_generator.state
+    return ([state["state"][word].tolist() for word in ("counter", "key")]
+            + [state["buffer"].tolist()]
+            + [state[word] for word in ("buffer_pos", "has_uint32", "uinteger")])
+
+
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_a_rekeyed_generator_is_the_fresh_keyed_stream(seed, index):
+    used = trajectory_generator(9, 5)
+    used.standard_normal(7)
+    used.integers(2**32)
+    state = used.bit_generator.state
+    assert state["buffer_pos"] != 4 and state["has_uint32"] == 1  # mid-buffer, a spare word
+    gen = trajectory_generator(seed, index, reuse=used)
+    fresh = trajectory_generator(seed, index)
+    assert gen is used
+    assert state_words(gen) == state_words(fresh) == state_words(philox_stream(seed, index))
+    assert gen.standard_normal() == fresh.standard_normal()
+    assert np.array_equal(gen.standard_normal(1001), fresh.standard_normal(1001))
+    assert gen.integers(2**32) == fresh.integers(2**32)
+    assert state_words(gen) == state_words(fresh)

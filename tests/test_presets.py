@@ -1,5 +1,6 @@
 """fig1-fig3 share one travelling-wave ensemble, each result handed out once."""
 
+import gc
 import weakref
 
 import pytest
@@ -69,3 +70,25 @@ def test_shared_results_equal_fresh_runs(tables):
             assert_array_equal(result.columns[name], column, err_msg=f"{fig} {name}")
         assert fresh.metadata == result.metadata and fresh.checks == result.checks
     assert len(tables) == 3
+
+
+def test_a_pending_error_keeps_no_caller_alive(tables):
+    # a stored error carries no frames: a local of the function that ran
+    # fig1 is freed once it returns, while fig2's and fig3's errors wait
+    class Local:
+        pass
+
+    def caller():
+        local = Local()
+        run("fig1")
+        return weakref.ref(local)
+
+    local = caller()
+    gc.collect()
+    assert local() is None
+    assert sorted(presets._PENDING[(64, 3)]) == ["fig2", "fig3"]
+    with pytest.raises(CorrelationError) as fig2:
+        run("fig2")
+    assert str(fig2.value) == FIG2_ERROR
+    # where the analysis raised it, as text
+    assert "correlations.py" in fig2.value.__notes__[-1]

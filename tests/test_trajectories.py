@@ -1,5 +1,6 @@
 """Integrator correctness, ensemble statistics and reproducibility."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,47 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
             for name in TABLES:
                 assert np.array_equal(getattr(m, name), getattr(ref, name),
                                       equal_nan=True), (width, threads, name)
+
+
+@pytest.mark.parametrize("threads", [1, 5])
+def test_generators_are_built_once_per_worker_and_rekeyed_after(threads, monkeypatch):
+    # eight one-batch chunks, five of which replay a diverged trajectory:
+    # thirteen passes of six streams; a worker's first pass builds its
+    # generators, every later pass re-keys a finished pass's list, and no
+    # list serves two passes at once (the tables would differ), even with
+    # more threads than cores switching often
+    monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
+    p = sf.SystemParams.travelling_wave(0.1)
+    init = sf.PhaseSpacePoint.coherent(alpha1=10.0, alpha2=10.0)
+    cfg = sf.TrajectoryConfig(dt=0.5, t_max=10.0, n_traj=48, seed=1,
+                              sample_stride=2, mode="travelling-wave", n_batches=8)
+    monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", cfg.n_traj)
+    ref = sf.run_ensemble(p, init, cfg, threads=1)
+    calls, trajectory_generator = [], trajectories.trajectory_generator
+
+    def spy(seed, index, reuse=None):
+        gen = trajectory_generator(seed, index, reuse)
+        calls.append((index, reuse is None, id(gen)))
+        return gen
+
+    monkeypatch.setattr(trajectories, "trajectory_generator", spy)
+    monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        m = sf.run_ensemble(p, init, cfg, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ref.batch_valid.tolist() == [5, 5, 6, 6, 6, 5, 5, 5]
+    assert len(calls) == 13 * 6
+    built = [index for index, fresh, _ in calls if fresh]
+    assert len({ident for *_, ident in calls}) == len(built)
+    if threads == 1:
+        assert built == list(range(6))
+    else:
+        assert len(built) % 6 == 0 and len(built) <= threads * 6
+    for name in TABLES:
+        assert np.array_equal(getattr(m, name), getattr(ref, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("case", ["finite", "replayed"])
@@ -308,7 +350,7 @@ def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeyp
         return block
 
     monkeypatch.setattr(trajectories, "draw_block", recording)
-    m = sf.run_ensemble(TW, init, cfg)
+    m = sf.run_ensemble(TW, init, cfg, threads=1)  # one chunk after the other
     # two one-batch chunks, each drawing 5 + 5 + 2 steps into one buffer
     assert [shape for shape, _ in blocks] == [(32, 5, 4), (32, 5, 4), (32, 2, 4)] * 2
     assert max(nbytes for _, nbytes in blocks) <= budget
@@ -316,9 +358,21 @@ def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeyp
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
 
 
+# a full chunk: the largest odd number of steps whose noise fits the budget,
+# CHUNK_R samples per block (as many as an eighth of it holds), and enough
+# whole blocks of samples at stride 10 to need a second draw
+CHUNK_WIDTH = trajectories.TRAJECTORY_CHUNK
+CHUNK_ROW_STEPS = (trajectories.NOISE_BLOCK_BYTES
+                   // (CHUNK_WIDTH * trajectories.NOISES_PER_STEP * 8) - 1) | 1
+CHUNK_R = max(1, trajectories.NOISE_BLOCK_BYTES // 8 // (6 * 16 * CHUNK_WIDTH))
+CHUNK_BLOCKS = CHUNK_ROW_STEPS // (10 * CHUNK_R) + 1
+
+
 @pytest.mark.parametrize("width, n_steps, row_steps, sample_rows", [
-    (256, 300, 255, [256] + [2560] * 3), (2048, 40, 31, [2048] * 5)],
-    ids=["256-wide", "2048-wide"])
+    (256, 300, 255, [256] + [2560] * 3),
+    (CHUNK_WIDTH, 10 * CHUNK_R * CHUNK_BLOCKS, CHUNK_ROW_STEPS,
+     [CHUNK_WIDTH] + [CHUNK_R * CHUNK_WIDTH] * CHUNK_BLOCKS)],
+    ids=["256-wide", f"{CHUNK_WIDTH}-wide"])
 def test_noise_rows_are_odd_and_samples_reach_the_reduction_in_blocks(
         width, n_steps, row_steps, sample_rows, monkeypatch):
     # at the default budget a trajectory's noise row holds an odd number of
