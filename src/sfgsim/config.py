@@ -74,6 +74,12 @@ class RunConfig:
             val = getattr(self, name)
             if kind in (float, complex) and val is not None and not cmath.isfinite(val):
                 raise ConfigError(f"invariant violated: {name} is finite (got {val})")
+            # the sidecar's config text must reproduce the run: one line that
+            # parses back to this value
+            line = f"{name}={_render_value(val)}"
+            if kind is str and val is not None and (
+                    line.splitlines() != [line] or config_values(line) != {name: val}):
+                raise ConfigError(f"{name} {val!r} does not read back as itself from config text")
         if not self.kappa > 0:
             raise ConfigError(f"invariant violated: kappa > 0 (got {self.kappa})")
         for name in ("gamma1", "gamma2", "gamma3"):

@@ -116,7 +116,7 @@ def _tw_analyses(key, threads):
 
 def _run_tw(preset, n_traj=None, seed=None, threads=None):
     """Runner of fig1-fig3: a pending result for this key, or a new ensemble."""
-    key = (n_traj or preset.default_n_traj, TW_SEED if seed is None else seed)
+    key = (preset.default_n_traj if n_traj is None else n_traj, TW_SEED if seed is None else seed)
     if preset.name not in _PENDING.get(key, ()):
         _PENDING.clear()
         _PENDING[key] = _tw_analyses(key, threads)
@@ -291,7 +291,7 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     p = SystemParams(**preset.parameters["run"])
     init = trajectories.PhaseSpacePoint.vacuum()
     cfg = trajectories.TrajectoryConfig(
-        dt=1e-4, t_max=14.0, n_traj=n_traj or preset.default_n_traj,
+        dt=1e-4, t_max=14.0, n_traj=preset.default_n_traj if n_traj is None else n_traj,
         seed=CAVITY_SEED if seed is None else seed,
         sample_stride=1000, mode="cavity",
     )

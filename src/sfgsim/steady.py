@@ -472,6 +472,9 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     eps_lo, eps_hi = float(epsilon_range[0]), float(epsilon_range[1])
     if not 0 <= eps_lo < eps_hi:
         raise ParameterError("epsilon_range must satisfy 0 <= lo < hi")
+    # NaN would end the bisection at once; 0 or less would never end it
+    if not 0 < rel_tol < 1:
+        raise ParameterError(f"rel_tol must satisfy 0 < rel_tol < 1 (got {rel_tol!r})")
 
     rows = []
     for ratio in ratios:

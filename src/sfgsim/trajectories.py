@@ -50,17 +50,18 @@ in fig8, it matches ``step`` bit for bit.
 
 Ensemble averages of products of these variables converge to
 normally-ordered operator moments.  Trajectories are grouped into a fixed
-number of batches; batch means provide standard errors.  Each batch is
-reduced in one contiguous pass, so every reported moment is a pure
-function of (seed, n_traj, n_batches, grid) - bit-identical under any
-chunking or thread count.  Each group of batches accumulates its sums
-straight into its own rows of the table ``run_ensemble`` returns, which
-are then divided in place into batch means: the ensemble never holds a
-second copy of the table.
+number of batches; batch means provide standard errors.  Sampled states
+are reduced in the component-first layout they are stored in: each batch
+of each sample is one ``np.add.reduceat`` segment along the trajectory
+axis, so every reported moment is a pure function of (seed, n_traj,
+n_batches, grid) - bit-identical under any chunking or thread count.
+Each group of batches accumulates its sums straight into its own rows of
+the table ``run_ensemble`` returns, which are then divided in place into
+batch means: the ensemble never holds a second copy of the table.
 """
 
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -200,7 +201,8 @@ class TrajectoryConfig:
 # The ensemble moments in table order, name -> (left, right) over the
 # per-mode factors a = a_j, ap = a_j+ and n = a_j+ a_j: E[left_j] with no
 # right factor, else E[left_j right_k] (apa[..., j, k] = E[a_j+ a_k]),
-# formed as left[:, :, None] * right[:, None, :] in this operand order.
+# formed from (3, R, n) factors as left[None] * right[:, None] in this
+# operand order.
 # Everything that stores, reduces or combines moments iterates this table.
 MOMENTS = {
     "a": ("a", None),
@@ -369,9 +371,9 @@ def _raw_dt(params, init, cfg):
 
 def _alive_mask(s):
     """Per trajectory (last axis) of a (6, R, n) block of R samples: inside
-    the guard at every sample, hence finite (NaN compares false)."""
-    with np.errstate(invalid="ignore"):
-        return np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=(0, 1))
+    the guard at every sample, hence finite (NaN compares false).  Called
+    within ``_pass``'s ``np.errstate``."""
+    return np.all(np.abs(s) <= DIVERGENCE_GUARD, axis=(0, 1))
 
 
 def _batch_bounds(n_traj, n_batches):
@@ -387,28 +389,27 @@ def accumulate_sample(sums, rec, s, segments, keep=None):
     ``sums`` is a ``MomentView`` of (nb, S, ...) arrays, one row per batch
     in the block; ``run_ensemble`` passes views of its table's rows.
 
-    ``s`` is the (R n, 6) state block of R consecutive samples of n
-    trajectories, sample by sample (the ensemble passes the transpose of
-    its component-first block), ``rec`` the slice of those R samples,
-    ``segments`` the R nb batch start offsets within the block
-    (np.add.reduceat layout), ``keep`` an optional boolean mask per row
-    that removes diverged trajectories (their states may be non-finite, so
-    they are replaced by zeros rather than weighted).  Each batch of each
-    sample is one reduceat segment, so its sum does not depend on R.
+    ``s`` is the (R n, 6) transpose of the component-first block of R
+    consecutive samples of n trajectories, read back as (6, R, n), so each
+    factor is (3, R, n); ``rec`` is the slice of those R samples,
+    ``segments`` the nb batch start offsets within a sample
+    (np.add.reduceat layout), ``keep`` an optional (n,) boolean mask, the
+    same at every sample, that removes diverged trajectories (their states
+    may be non-finite, so they are replaced by zeros rather than
+    weighted).  Each batch of each sample is one reduceat segment along
+    the trajectory axis, so its sum does not depend on R.
     """
-    a = s[:, 0::2]
-    ap = s[:, 1::2]
+    x = s.T.reshape(6, rec.stop - rec.start, -1)
     if keep is not None:
-        a = np.where(keep[:, None], a, 0.0)
-        ap = np.where(keep[:, None], ap, 0.0)
+        x = np.where(keep, x, 0.0)
+    a, ap = x[0::2], x[1::2]
     factors = {"a": a, "ap": ap, "n": ap * a}
     for name, (left, right) in MOMENTS.items():
         x = factors[left]
         if right is not None:
-            x = x[:, :, None] * factors[right][:, None, :]
-        table = getattr(sums, name)
-        nb, _, *tail = table.shape
-        table[:, rec] += np.add.reduceat(x, segments, axis=0).reshape(-1, nb, *tail).swapaxes(0, 1)
+            x = x[None] * factors[right][:, None]  # x[k, j] = left_j right_k
+        # axes reversed, so the transpose of the sums is the table's (nb, R, ...) rows
+        getattr(sums, name)[:, rec] += np.add.reduceat(x, segments, axis=-1).T
 
 
 def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
@@ -435,8 +436,6 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
     # later samples go through the guard and the reduction R at a time
     R = max(1, min(NOISE_BLOCK_BYTES // 8 // s.nbytes, cfg.n_samples - 1))
     block = np.empty((6, R, n), dtype=complex)
-    offsets = (np.arange(R)[:, None] * n + segments).ravel()
-    keeps = None if keep is None else np.tile(keep, R)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while done < n_steps:
@@ -452,9 +451,7 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
                     if r == R or done == n_steps:
                         alive &= _alive_mask(block[:, :r])
                         accumulate_sample(sums, slice(k + 1 - r, k + 1),
-                                          block[:, :r].reshape(6, r * n).T,
-                                          offsets[:r * len(segments)],
-                                          None if keep is None else keeps[:r * n])
+                                          block[:, :r].reshape(6, r * n).T, segments, keep)
     return alive
 
 
@@ -476,11 +473,11 @@ def run_ensemble(params, init, cfg, threads=None):
     once, plus for each chunk in flight its state, step buffers, noise
     buffer (at most NOISE_BLOCK_BYTES for chunks up to 65536
     trajectories) and block of sampled states (an eighth of that, or one
-    sample), whatever the ensemble size or thread count.  Each running
-    worker holds one list of generators, one per trajectory of the widest
+    sample), whatever the ensemble size or thread count.  Each worker
+    thread holds one list of generators, one per trajectory of the widest
     chunk it has run, which its later passes re-key rather than rebuild:
-    at most min(threads, chunks) lists exist, handed from a finished pass
-    to the next through a queue.
+    at most min(threads, chunks) lists exist, one per thread of the call,
+    and they are freed with it.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -507,9 +504,8 @@ def run_ensemble(params, init, cfg, threads=None):
     tables = [np.zeros((B, S, 3) + (() if right is None else (3,)), dtype=complex)
               for _, right in MOMENTS.values()]
     valid = np.zeros(B, dtype=int)
-    diverged = np.zeros(len(groups), dtype=int)
-    # generator lists of finished passes; a group takes one, or starts one
-    spares = queue.SimpleQueue()
+    # each worker thread's generator list, kept for its later groups
+    local = threading.local()
 
     def do_group(gi):
         # _batch_bounds gives the extra trajectories to the first batches,
@@ -522,10 +518,7 @@ def run_ensemble(params, init, cfg, threads=None):
             return
         segments = bounds[rows] - lo
         sums = MomentView(*(t[rows] for t in tables))
-        try:
-            spare = spares.get_nowait()
-        except queue.Empty:
-            spare = []
+        spare = local.__dict__.setdefault("spare", [])
         alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=None)
         if not alive.all():
             # integrate again with the diverged trajectories zero-weighted
@@ -534,9 +527,7 @@ def run_ensemble(params, init, cfg, threads=None):
             for t in tables:
                 t[rows] = 0
             _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=alive)
-        spares.put(spare)
         valid[rows] = np.add.reduceat(alive.astype(int), segments)
-        diverged[gi] = hi - lo - np.count_nonzero(alive)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -545,7 +536,7 @@ def run_ensemble(params, init, cfg, threads=None):
         for gi in range(len(groups)):
             do_group(gi)
 
-    n_diverged = int(diverged.sum())
+    n_diverged = cfg.n_traj - int(valid.sum())
     if n_diverged > MAX_DIVERGED_FRACTION * cfg.n_traj:
         raise EnsembleQualityError(
             f"{n_diverged} of {cfg.n_traj} trajectories hit the divergence "

@@ -4,7 +4,8 @@ Everything here reimplements the target quantity through a different
 route than the library: damped fixed-point iteration and scipy root
 finding for steady states, the flow and the fixed-point equations written
 out for the drift kernel and the residual, a per-trajectory scalar
-integrator for the ensemble engine, one stacked expression for its batch
+integrator for the ensemble engine, one reduceat over (R n, 6) state rows
+for its moment reduction, one stacked expression for its batch
 combination, a loop over state tuples for the mean-field path, a
 per-frequency loop for the batched spectral sweep, periodogram averaging
 of a directly simulated linear SDE for the spectral formula, and Wick
@@ -16,6 +17,7 @@ import scipy.optimize
 
 from sfgsim.noise import trajectory_generator
 from sfgsim.steady import flow_coefficients, flow_rows
+from sfgsim.trajectories import MOMENTS
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,28 @@ def scalar_reference_batch_means(states, n_batches):
         means[counts > 0] = sums / counts[counts > 0].reshape((-1,) + (1,) * (arr.ndim - 1))
         out[name] = means
     return out, counts
+
+
+def rowwise_accumulate_sample(sums, rec, s, segments, keep=None):
+    """``accumulate_sample`` over the rows of the (R n, 6) sample block.
+
+    ``segments`` holds the batch starts of every sample, R nb offsets
+    into the R n rows, and ``keep`` one flag per row; each product table
+    is (R n, ...), reduced by one ``np.add.reduceat`` along its rows.
+    """
+    a = s[:, 0::2]
+    ap = s[:, 1::2]
+    if keep is not None:
+        a = np.where(keep[:, None], a, 0.0)
+        ap = np.where(keep[:, None], ap, 0.0)
+    factors = {"a": a, "ap": ap, "n": ap * a}
+    for name, (left, right) in MOMENTS.items():
+        x = factors[left]
+        if right is not None:
+            x = x[:, :, None] * factors[right][:, None, :]
+        table = getattr(sums, name)
+        nb, _, *tail = table.shape
+        table[:, rec] += np.add.reduceat(x, segments, axis=0).reshape(-1, nb, *tail).swapaxes(0, 1)
 
 
 def semiclassical_by_tuples(params, init, cfg, dt):

@@ -90,6 +90,10 @@ def test_round_trip_is_identity():
         lo = -20.0 * scale if cfg.omega_min is None else cfg.omega_min
         hi = 20.0 * scale if cfg.omega_max is None else cfg.omega_max
         assert np.array_equal(omega_grid(cfg), np.linspace(lo, hi, cfg.n_omega))
+    # a text value whose rendered line would read back as another value
+    for output in ("runs/a#b", " runs/a", "auto", "None"):
+        with pytest.raises(ConfigError, match=f"output {output!r} does not read back"):
+            RunConfig(output=output).validate()
 
 
 def _optional(strategy):
@@ -246,9 +250,10 @@ def test_flags_parse_like_config_keys():
     for key in text:
         assert getattr(args, key) == getattr(cfg, key), key
         assert type(getattr(args, key)) is type(getattr(cfg, key)), key
-    # an explicit `auto` flag overrides a value read from the file
-    args = cli.build_parser().parse_args(["simulate", "--dt", "auto"])
-    assert args.dt is None
+    # an explicit `auto` flag overrides a value read from the file, and
+    # `--output auto` is the default prefix, not a file named auto
+    args = cli.build_parser().parse_args(["simulate", "--dt", "auto", "--output", "auto"])
+    assert args.dt is None and args.output is None
 
 
 _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.5522741296682337e+147",
@@ -287,6 +292,7 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
       "--n-ratio", "3"], {},
      "ratio_min 1.0 and ratio_max 1.0000000000000002 are too close for n_ratio 3"),
     (["reproduce", "fig1", "fig4", "fig1", "--n-traj", "64"], {}, "fig1 given more than once"),
+    (["reproduce", "fig4", "--output", "x#y"], {}, "output 'x#y' does not read back"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -295,7 +301,7 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
         "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
-        "reproduce-repeated-figure"])
+        "reproduce-repeated-figure", "output-not-read-back"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

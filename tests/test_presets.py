@@ -1,4 +1,5 @@
-"""fig1-fig3 share one travelling-wave ensemble, each result handed out once."""
+"""Ensemble presets: fig1-fig3 share one travelling-wave ensemble, each
+result handed out once, and every runner takes the trajectory count given."""
 
 import gc
 import weakref
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from sfgsim import presets, trajectories
-from sfgsim.errors import CorrelationError
+from sfgsim.errors import CorrelationError, ParameterError
 
 # the errors fig2 and fig3 raise on their own at 64 trajectories, seed 3
 FIG2_ERROR = ("V(X3(theta=0)): imaginary residue 7.623e+01 exceeds tolerance; "
@@ -92,3 +93,17 @@ def test_a_pending_error_keeps_no_caller_alive(tables):
     assert str(fig2.value) == FIG2_ERROR
     # where the analysis raised it, as text
     assert "correlations.py" in fig2.value.__notes__[-1]
+
+
+@pytest.mark.parametrize("fig", ["fig1", "fig8"])
+def test_zero_trajectories_are_refused_not_replaced_by_the_default(fig, monkeypatch):
+    # n_traj=0 is a count, not "unset": it once ran the preset's default
+    # (100 000 for fig1, 10 000 for fig8); the stubs fail fast if any
+    # ensemble is reached
+    def stub(params, init, cfg, threads=None):
+        raise AssertionError(f"an ensemble of {cfg.n_traj} trajectories was started")
+
+    monkeypatch.setattr(trajectories, "run_ensemble", stub)
+    monkeypatch.setattr(trajectories, "semiclassical_trajectory", stub)
+    with pytest.raises(ParameterError, match="n_traj must be >= 2"):
+        presets.PRESETS[fig].run(n_traj=0, seed=3, threads=1)

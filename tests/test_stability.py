@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
+from sfgsim.errors import ParameterError
 
 EPS600 = sf.SystemParams.symmetric(0.01, 1.0, 10.0, 600.0)
 
@@ -131,3 +132,14 @@ def test_stability_map_validates_grids():
         sf.stability_map(0.01, 1.0, [], (0.0, 100.0))
     with pytest.raises(ValueError):
         sf.stability_map(0.01, 1.0, [2.0, 1.0], (0.0, 100.0))
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1e-3, 1.0])
+def test_stability_map_validates_rel_tol(rel_tol):
+    # NaN ended the bisection at once (ratio 2 over (0, 2000) read 1000.0
+    # against 282.84); 0 and below never ended it, since the midpoint of
+    # adjacent floats is one of them
+    with pytest.raises(ParameterError, match="rel_tol"):
+        sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0), rel_tol=rel_tol)
+    row, = sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0))
+    assert row.epsilon_boundary == pytest.approx(282.84, abs=0.01)

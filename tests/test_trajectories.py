@@ -261,6 +261,52 @@ def test_global_view_is_the_stacked_combination_bit_for_bit():
     assert np.array_equal(m._combine(arr), oracles.stacked_combine(arr, valid))
 
 
+# equal batches of 1-6, 8, 9, 17 and 256 trajectories, then unequal ones;
+# a segment of more than four complex values sums pairwise in numpy
+REDUCTION_BATCHES = ([[k] * 4 for k in (1, 2, 3, 4, 5, 6, 8, 9, 17, 256)]
+                     + [[2, 2, 1, 1], [4, 4, 3], [3, 4], [9, 8]])
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all-kept", "every-third-masked"])
+@pytest.mark.parametrize("counts", REDUCTION_BATCHES, ids=str)
+def test_reduction_is_the_rowwise_reduceat_bit_for_bit(counts, masked):
+    # the component-first block reduced along its trajectory axis, one
+    # segment per batch of each sample, against the row-wise reduceat of
+    # its (R n, 6) transpose; the tables start at -0.0 and the states hold
+    # signed zeros, so every sign reaches the comparison, and masked
+    # trajectories hold infinities or NaN
+    rng = np.random.default_rng(sum(counts) * 100 + len(counts))
+    n, nb, R, S = sum(counts), len(counts), 3, 5
+    shape = (6, R, n)
+    block = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.integers(-3, 4, size=shape)
+    for value in (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)):
+        block[rng.random(shape) < 0.1] = value
+    keep = None
+    if masked:
+        keep = np.arange(n) % 3 != 2
+        bad = np.array([complex(np.inf, 1.0), complex(-np.inf, np.nan), complex(np.nan, 0.0)])
+        block[:, :, ~keep] = rng.choice(bad, size=(6, R, n - np.count_nonzero(keep)))
+    segments = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    s = block.reshape(6, R * n).T
+    rec = slice(1, 1 + R)
+
+    def tables():
+        return trajectories.MomentView(*(
+            np.full((nb, S, 3) + (() if right is None else (3,)), complex(-0.0, -0.0))
+            for _, right in trajectories.MOMENTS.values()))
+
+    got, want = tables(), tables()
+    trajectories.accumulate_sample(got, rec, s, segments, keep)
+    oracles.rowwise_accumulate_sample(
+        want, rec, s, (np.arange(R)[:, None] * n + segments).ravel(),
+        None if keep is None else np.tile(keep, R))
+    for name in trajectories.MOMENTS:
+        assert np.array_equal(getattr(got, name).view(np.uint64),
+                              getattr(want, name).view(np.uint64)), name
+    assert np.isfinite(got.nn).all()
+
+
 def test_moment_table_takes_each_moment_once():
     # positionally in MOMENTS order, by name, or both; never one too many,
     # one twice or one missing
