@@ -126,7 +126,10 @@ def _merge_config(args):
             raise ConfigError(f"reproduce: {', '.join(repeated)} given more than once")
         flags["reproduce"] = args.figure[0]
     cfg = cfgmod.RunConfig(**{**values, **flags}).validate()
-    directory = os.path.dirname(cfg.output or "") or "."  # fail before the work
+    directory, base = os.path.split(cfg.output or "sfgsim")  # fail before the work
+    if base in ("", ".", ".."):  # a directory: its {prefix}.csv would be hidden
+        raise ConfigError(f"output prefix {cfg.output!r} names a directory, not a file prefix")
+    directory = directory or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise ConfigError(f"output prefix {cfg.output!r}: cannot write to {directory!r}")
     return cfg

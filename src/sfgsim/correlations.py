@@ -3,9 +3,9 @@
 Stochastic phase-space averages are normally ordered, so every measurable
 quantity needs its ordering correction exactly once, here: quadrature
 variances gain the vacuum +1, photon-number variances gain the mean.
-Entanglement witnesses follow from the corrected quadrature moments:
-the joint-quadrature (Duan-Simon) sum with separability threshold 4 and
-the inferred-variance (Reid) product with threshold 1.
+The entanglement witnesses, the Duan-Simon sum (threshold 4) and the Reid
+product (threshold 1), are defined once in `spectra` and evaluated on the
+corrected quadrature covariances of each view.
 
 All reported series are real; the imaginary residue of each raw value is
 checked against a tolerance plus five standard errors before being
@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorrelationError
+from .spectra import (check_steering_variance, inferred_variance_product,
+                      joint_quadrature_sum, witness_rows)
 from .trajectories import MomentTable
 
 # Absolute imaginary residue allowed on top of 5 SE.
 IMAG_TOL = 1e-8
 
-# Division guards.
+# Division guard of the Fano factor; the inferred variances use spectra's.
 FANO_MEAN_GUARD = 1e-6
-EPR_VARIANCE_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class QuadratureSpec:
     @classmethod
     def y(cls, mode):
         return cls(mode, np.pi / 2.0)
+
+
+# The quadratures in spectra.quadrature_index order: X1, Y1, X2, Y2, X3, Y3.
+_QUADRATURES = [spec(mode) for mode in (1, 2, 3) for spec in (QuadratureSpec.x, QuadratureSpec.y)]
 
 
 @dataclass
@@ -160,53 +165,34 @@ def fano_sum(m: MomentTable) -> CorrelationSeries:
     return fano(m, modes=(1, 2))
 
 
+def _quadrature_cov(view):
+    """The witnesses' ``cov(i, k)`` of one view; the diagonal is the variance."""
+    def cov(i, k):
+        qi, qk = _QUADRATURES[i], _QUADRATURES[k]
+        return _variance_raw(view, qi) if i == k else _covariance_raw(view, qi, qk)
+    return cov
+
+
 def duan_simon(m: MomentTable, sign=+1) -> CorrelationSeries:
-    """V(X1 +/- X2) + V(Y1 -/+ Y2) for the low-frequency pair; threshold 4.
+    """`spectra.joint_quadrature_sum` of the low-frequency pair; threshold 4.
 
     The interaction correlates the `+` combination; the opposite sign
     carries excess noise.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    x1, x2 = QuadratureSpec.x(1), QuadratureSpec.x(2)
-    y1, y2 = QuadratureSpec.y(1), QuadratureSpec.y(2)
-
-    def raw(view):
-        vx = _variance_raw(view, x1) + _variance_raw(view, x2) \
-            + 2.0 * sign * _covariance_raw(view, x1, x2)
-        vy = _variance_raw(view, y1) + _variance_raw(view, y2) \
-            - 2.0 * sign * _covariance_raw(view, y1, y2)
-        return vx + vy
-
+    witness_rows(sign)  # before any table is combined
     tag = "+" if sign > 0 else "-"
-    return _series(m, raw, 4.0, f"V(X1{tag}X2)+V(Y1{'-' if sign > 0 else '+'}Y2)")
+    return _series(m, lambda view: joint_quadrature_sum(_quadrature_cov(view), sign), 4.0,
+                   f"V(X1{tag}X2)+V(Y1{'-' if sign > 0 else '+'}Y2)")
 
 
 def epr_product(m: MomentTable, inferred, steering) -> CorrelationSeries:
-    """Reid inferred-variance product for mode ``inferred``; threshold 1.
+    """`spectra.inferred_variance_product` for mode ``inferred``; threshold 1.
 
     Conditions on the quadratures of mode ``steering`` with the optimal
-    linear gain; below 1 the steering mode steers the inferred one.
+    linear gain; the guard reads the combined view only, not each batch.
     """
-    if inferred == steering:
-        raise ValueError("inferred and steering modes must differ")
-    xj, yj = QuadratureSpec.x(inferred), QuadratureSpec.y(inferred)
-    xk, yk = QuadratureSpec.x(steering), QuadratureSpec.y(steering)
-
-    gview = m.global_view()
-    for q in (xk, yk):
-        v = _variance_raw(gview, q)
-        if np.any(np.real(v) < EPR_VARIANCE_GUARD):
-            raise CorrelationError(
-                "inferred variances undefined: steering-mode variance below "
-                f"{EPR_VARIANCE_GUARD}"
-            )
-
-    def raw(view):
-        vinf_x = _variance_raw(view, xj) \
-            - _covariance_raw(view, xj, xk) ** 2 / _variance_raw(view, xk)
-        vinf_y = _variance_raw(view, yj) \
-            - _covariance_raw(view, yj, yk) ** 2 / _variance_raw(view, yk)
-        return vinf_x * vinf_y
-
-    return _series(m, raw, 1.0, f"EPR{inferred}{steering}")
+    witness_rows(inferred=inferred, steering=steering)  # before any table is combined
+    check_steering_variance(_quadrature_cov(m.global_view()), inferred, steering)
+    return _series(
+        m, lambda view: inferred_variance_product(_quadrature_cov(view), inferred, steering),
+        1.0, f"EPR{inferred}{steering}")

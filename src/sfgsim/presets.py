@@ -98,12 +98,12 @@ _PENDING = {}
 
 
 def _tw_analyses(key, threads):
-    """Every fig1-fig3 analysis of one ensemble, each with its own preset."""
+    """Every fig1-fig3 analysis of one ensemble."""
     table = travelling_wave_ensemble(*key, threads)
     results = {}
     for name, analyse in _TW_ANALYSES.items():
         try:
-            results[name] = analyse(PRESETS[name], table)
+            results[name] = analyse(table)
         except Exception as exc:
             # kept without its traceback, whose frames would hold this call
             # and its callers alive while the error waits; where it was
@@ -134,7 +134,7 @@ def _sig(values, se, bound):
     return float(((bound - values[good]) / se[good]).max())
 
 
-def _run_fig1(preset, table):
+def _run_fig1(table):
     inten, se = table.intensities()
     t = table.times
     cols = intensity_columns(inten, se)
@@ -175,7 +175,7 @@ def _run_fig1(preset, table):
     )
 
 
-def _run_fig2(preset, table):
+def _run_fig2(table):
     t = table.times
     vx3 = corr.quadrature_variance(table, corr.QuadratureSpec.x(3))
     fano12 = corr.fano_sum(table)
@@ -202,7 +202,7 @@ def _run_fig2(preset, table):
     )
 
 
-def _run_fig3(preset, table):
+def _run_fig3(table):
     t = table.times
     ds = corr.duan_simon(table)
     epr12 = corr.epr_product(table, 1, 2)

@@ -13,7 +13,8 @@ the frequency-domain form
 
 from which measurable output quadrature spectra follow through the standard
 input-output relations with vacuum inputs: shot noise is 1 and each mode
-couples out through its full loss rate.
+couples out through its full loss rate.  The two-mode witnesses are defined
+here once, on any quadrature covariance; `correlations` evaluates them too.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ from .errors import ConvergenceError, CorrelationError, UnstableOperatingPointEr
 
 # Margin below which a drift eigenvalue is treated as unstable/marginal.
 STABILITY_TOL = 1e-9
+
+# Smallest steering-mode variance an inferred variance may divide by.
+EPR_VARIANCE_GUARD = 1e-9
 
 # Number of fluctuation variables: a pair (da, da+) per mode.
 DIM = 6
@@ -247,48 +251,56 @@ def spectrum(params, ss=None, omegas=None):
     )
 
 
-def _output_array(result):
-    if isinstance(result, SpectrumResult):
-        return result.output
-    return np.asarray(result)
-
-
-def spectral_duan_simon(result, sign=+1):
-    """Joint-quadrature correlation V(X1 +/- X2) + V(Y1 -/+ Y2) over the grid.
-
-    Values below 4 certify bipartite entanglement of the two low-frequency
-    output beams; the `+` sign selects the combination this interaction
-    actually correlates.
-    """
+def witness_rows(sign=+1, inferred=1, steering=2):
+    """Check a witness's arguments; returns the X, Y rows of ``inferred``, then of ``steering``."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = _output_array(result)
-    x1, y1, x2, y2 = 0, 1, 2, 3
-    vx = out[:, x1, x1] + out[:, x2, x2] + 2 * sign * out[:, x1, x2]
-    vy = out[:, y1, y1] + out[:, y2, y2] - 2 * sign * out[:, y1, y2]
+    if inferred == steering:
+        raise ValueError("inferred and steering modes must differ")
+    return [quadrature_index(mode, quad) for mode in (inferred, steering) for quad in "XY"]
+
+
+def joint_quadrature_sum(cov, sign=+1):
+    """Duan-Simon sum V(X1 +/- X2) + V(Y1 -/+ Y2); below 4 certifies entanglement.
+
+    ``cov(i, k)`` covaries quadratures i, k in `quadrature_index` order, vacuum
+    unit included; the `+` sign is the combination this interaction correlates.
+    """
+    x1, y1, x2, y2 = witness_rows(sign)
+    vx = cov(x1, x1) + cov(x2, x2) + 2 * sign * cov(x1, x2)
+    vy = cov(y1, y1) + cov(y2, y2) - 2 * sign * cov(y1, y2)
     return vx + vy
 
 
-def spectral_epr(result, inferred, steering):
-    """Product of inferred output variances for mode `inferred`.
+def inferred_variance_product(cov, inferred, steering):
+    """Reid product of mode ``inferred``'s variances inferred from mode ``steering``.
 
-    Conditioning on the quadratures measured at mode `steering` at each
-    frequency; below 1 the steering mode steers the inferred mode.
+    ``cov`` as for `joint_quadrature_sum`; below 1 the steering mode steers.
     """
-    if inferred == steering:
-        raise ValueError("inferred and steering modes must differ")
-    out = _output_array(result)
-    xj = quadrature_index(inferred, "X")
-    yj = quadrature_index(inferred, "Y")
-    xk = quadrature_index(steering, "X")
-    yk = quadrature_index(steering, "Y")
-    vxk = out[:, xk, xk]
-    vyk = out[:, yk, yk]
-    if np.any(vxk <= 1e-9) or np.any(vyk <= 1e-9):
-        raise CorrelationError(
-            "steering-mode variance fell below the 1e-9 guard; "
-            "inferred variances are undefined"
-        )
-    vinf_x = out[:, xj, xj] - out[:, xj, xk] ** 2 / vxk
-    vinf_y = out[:, yj, yj] - out[:, yj, yk] ** 2 / vyk
+    xj, yj, xk, yk = witness_rows(inferred=inferred, steering=steering)
+    vinf_x = cov(xj, xj) - cov(xj, xk) ** 2 / cov(xk, xk)
+    vinf_y = cov(yj, yj) - cov(yj, yk) ** 2 / cov(yk, yk)
     return vinf_x * vinf_y
+
+
+def check_steering_variance(cov, inferred, steering):
+    """Refuse steering-mode variances at or below `EPR_VARIANCE_GUARD`."""
+    for k in witness_rows(inferred=inferred, steering=steering)[2:]:
+        if np.any(np.real(cov(k, k)) <= EPR_VARIANCE_GUARD):
+            raise CorrelationError(f"steering-mode variance fell below the {EPR_VARIANCE_GUARD} "
+                                   "guard; inferred variances are undefined")
+
+
+def _output_cov(result):
+    return lambda i, k: result.output[:, i, k]
+
+
+def spectral_duan_simon(result, sign=+1):
+    """`joint_quadrature_sum` of the output spectra at every frequency."""
+    return joint_quadrature_sum(_output_cov(result), sign)
+
+
+def spectral_epr(result, inferred, steering):
+    """`inferred_variance_product` of the output spectra, guarded at every frequency."""
+    check_steering_variance(_output_cov(result), inferred, steering)
+    return inferred_variance_product(_output_cov(result), inferred, steering)

@@ -280,12 +280,10 @@ class MomentTable:
         """
         value = np.asarray(fn(self.global_view()))
         idx = self.nonempty
-        per_batch = np.stack([np.asarray(fn(self.batch_view(b))) for b in idx])
-        nb = len(idx)
-        if nb < 2:
+        if len(idx) < 2:
             return value, np.full(value.shape, np.nan)
-        se = per_batch.std(axis=0, ddof=1) / np.sqrt(nb)
-        return value, se
+        per_batch = np.stack([np.asarray(fn(self.batch_view(b))) for b in idx])
+        return value, per_batch.std(axis=0, ddof=1) / np.sqrt(len(idx))
 
     def intensities(self):
         """Mean photon numbers E[n_j] with standard errors, shape (S, 3)."""

@@ -8,8 +8,9 @@ integrator for the ensemble engine, one reduceat over (R n, 6) state rows
 for its moment reduction, one stacked expression for its batch
 combination, a loop over state tuples for the mean-field path, a
 per-frequency loop for the batched spectral sweep, periodogram averaging
-of a directly simulated linear SDE for the spectral formula, and Wick
-closure for Gaussian moment closed forms.
+of a directly simulated linear SDE for the spectral formula, Wick
+closure for Gaussian moment closed forms, and the two-mode witnesses
+written out separately for the ensemble and for the output spectra.
 """
 
 import numpy as np
@@ -396,3 +397,79 @@ def gaussian_moment_tables(mean, sigma):
     nn = np.array([[[fourth(pi[j], ai[j], pi[k], ai[k]) for k in range(3)]
                     for j in range(3)]])
     return a, ap, aa, apap, apa, nn
+
+
+# ---------------------------------------------------------------------------
+# two-mode witnesses, one body per half
+
+
+def ensemble_duan_simon(m, sign=+1):
+    """Duan-Simon sum on a MomentTable, written out on its quadrature moments.
+
+    Returns ``m.batch_statistic``'s (value, se) of the raw complex sum.
+    """
+    from sfgsim.correlations import QuadratureSpec, _covariance_raw, _variance_raw
+
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x1, x2 = QuadratureSpec.x(1), QuadratureSpec.x(2)
+    y1, y2 = QuadratureSpec.y(1), QuadratureSpec.y(2)
+
+    def raw(view):
+        vx = _variance_raw(view, x1) + _variance_raw(view, x2) \
+            + 2.0 * sign * _covariance_raw(view, x1, x2)
+        vy = _variance_raw(view, y1) + _variance_raw(view, y2) \
+            - 2.0 * sign * _covariance_raw(view, y1, y2)
+        return vx + vy
+
+    return m.batch_statistic(raw)
+
+
+def ensemble_epr_product(m, inferred, steering):
+    """Reid product on a MomentTable, its guard on the combined view; (value, se)."""
+    from sfgsim.correlations import QuadratureSpec, _covariance_raw, _variance_raw
+    from sfgsim.errors import CorrelationError
+
+    if inferred == steering:
+        raise ValueError("inferred and steering modes must differ")
+    xj, yj = QuadratureSpec.x(inferred), QuadratureSpec.y(inferred)
+    xk, yk = QuadratureSpec.x(steering), QuadratureSpec.y(steering)
+    gview = m.global_view()
+    for q in (xk, yk):
+        if np.any(np.real(_variance_raw(gview, q)) < 1e-9):
+            raise CorrelationError("steering-mode variance below 1e-9")
+
+    def raw(view):
+        vinf_x = _variance_raw(view, xj) \
+            - _covariance_raw(view, xj, xk) ** 2 / _variance_raw(view, xk)
+        vinf_y = _variance_raw(view, yj) \
+            - _covariance_raw(view, yj, yk) ** 2 / _variance_raw(view, yk)
+        return vinf_x * vinf_y
+
+    return m.batch_statistic(raw)
+
+
+def spectral_duan_simon(out, sign=+1):
+    """Duan-Simon sum of an (N, 6, 6) output quadrature covariance stack."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    x1, y1, x2, y2 = 0, 1, 2, 3
+    vx = out[:, x1, x1] + out[:, x2, x2] + 2 * sign * out[:, x1, x2]
+    vy = out[:, y1, y1] + out[:, y2, y2] - 2 * sign * out[:, y1, y2]
+    return vx + vy
+
+
+def spectral_epr(out, inferred, steering):
+    """Reid product of an (N, 6, 6) output stack, guarded at every frequency."""
+    from sfgsim.errors import CorrelationError
+
+    if inferred == steering:
+        raise ValueError("inferred and steering modes must differ")
+    xj, yj, xk, yk = (2 * (mode - 1) + q for mode in (inferred, steering) for q in (0, 1))
+    vxk = out[:, xk, xk]
+    vyk = out[:, yk, yk]
+    if np.any(vxk <= 1e-9) or np.any(vyk <= 1e-9):
+        raise CorrelationError("steering-mode variance fell below the 1e-9 guard")
+    vinf_x = out[:, xj, xj] - out[:, xj, xk] ** 2 / vxk
+    vinf_y = out[:, yj, yj] - out[:, yj, yk] ** 2 / vyk
+    return vinf_x * vinf_y

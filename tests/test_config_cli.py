@@ -293,6 +293,11 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
      "ratio_min 1.0 and ratio_max 1.0000000000000002 are too close for n_ratio 3"),
     (["reproduce", "fig1", "fig4", "fig1", "--n-traj", "64"], {}, "fig1 given more than once"),
     (["reproduce", "fig4", "--output", "x#y"], {}, "output 'x#y' does not read back"),
+    # an existing directory as the prefix would give the hidden sub/.csv
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/"], {},
+     "'sub/' names a directory"),
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/."], {},
+     "'sub/.' names a directory"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -301,11 +306,13 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
         "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
-        "reproduce-repeated-figure", "output-not-read-back"])
+        "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
+        "output-names-directory-dot"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
+    (tmp_path / "sub").mkdir()
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     with warnings.catch_warnings():

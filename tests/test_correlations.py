@@ -1,5 +1,7 @@
 """Correlation measures: ordering corrections, witnesses, consistency."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.linalg
 import sfgsim as sf
 from sfgsim.correlations import QuadratureSpec
 from sfgsim.errors import CorrelationError
+from sfgsim.spectra import _U
 from sfgsim.trajectories import MomentTable, TrajectoryConfig
 
 import oracles
@@ -251,3 +254,84 @@ def test_duan_simon_sign_validation():
         sf.duan_simon(m, sign=2)
     with pytest.raises(ValueError):
         sf.epr_product(m, 1, 1)
+
+
+def test_ensemble_witnesses_equal_their_written_out_bodies_bit_for_bit():
+    sigma = np.zeros((6, 6), dtype=complex)
+    sigma[0, 2] = sigma[2, 0] = 0.3     # the a1 a2 correlation the interaction builds
+    sigma[1, 3] = sigma[3, 1] = 0.3
+    sigma[4, 4], sigma[5, 5] = -0.1, -0.1
+    z = gaussian_samples(4096, [2.0, 2.0, 1.5, 1.5, 0.5, 0.5], sigma, seed=8)
+    m = table_from_samples(z)
+    for sign in (+1, -1):
+        got = sf.duan_simon(m, sign)
+        value, se = oracles.ensemble_duan_simon(m, sign)
+        assert got.values.tobytes() == np.real(value).tobytes(), sign
+        assert got.se.tobytes() == np.asarray(se, dtype=float).tobytes(), sign
+    for pair in itertools.permutations((1, 2, 3), 2):
+        got = sf.epr_product(m, *pair)
+        value, se = oracles.ensemble_epr_product(m, *pair)
+        assert got.values.tobytes() == np.real(value).tobytes(), pair
+        assert got.se.tobytes() == np.asarray(se, dtype=float).tobytes(), pair
+
+
+def witness_halves(Q, mean=(1.0, 1.0, 0.8, 0.8, 0.5, 0.5)):
+    """Each half's (duan_simon(sign), epr(inferred, steering)) on one covariance.
+
+    ``Q`` is a 6 x 6 quadrature covariance over (X1, Y1, X2, Y2, X3, Y3)
+    with the vacuum unit on its diagonal.  The spectra read it as the
+    output matrix at one frequency; the ensemble reads a two-batch table
+    of the exact Gaussian moments whose quadrature covariance it is.
+    """
+    res = sf.SpectrumResult(omega=np.zeros(1), intracavity=None, output=Q[None],
+                            max_asymmetry=0.0)
+    to_phase_space = np.linalg.inv(_U)
+    sigma = to_phase_space @ (Q - np.eye(6)) @ to_phase_space.T
+    moments = oracles.gaussian_moment_tables(mean, sigma)
+    cfg = TrajectoryConfig(dt=1.0, t_max=1.0, n_traj=2, seed=0, sample_stride=1, n_batches=2)
+    m = MomentTable(np.zeros(1), np.ones(2, int), np.ones(2, int),
+                    *(np.repeat(t[None], 2, 0) for t in moments),
+                    n_diverged=0, config=cfg, params=sf.SystemParams(kappa=1.0))
+    return {
+        "spectra": (lambda sign=+1: sf.spectral_duan_simon(res, sign),
+                    lambda *pair: sf.spectral_epr(res, *pair)),
+        "ensemble": (lambda sign=+1: sf.duan_simon(m, sign).values,
+                     lambda *pair: sf.epr_product(m, *pair).values),
+    }
+
+
+def test_both_halves_give_one_witness_value_on_one_covariance():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6))
+    Q = np.eye(6) + 0.2 * g @ g.T
+    Q[0, 2] = Q[2, 0] = 0.6     # X1 and X2 correlated, Y1 and Y2 anticorrelated
+    Q[1, 3] = Q[3, 1] = -0.6
+    halves = witness_halves(Q)
+    (ds_s, epr_s), (ds_e, epr_e) = halves["spectra"], halves["ensemble"]
+    for sign in (+1, -1):
+        assert ds_e(sign) == pytest.approx(ds_s(sign), rel=1e-12, abs=1e-12), sign
+    for pair in itertools.permutations((1, 2, 3), 2):
+        assert epr_e(*pair) == pytest.approx(epr_s(*pair), rel=1e-12, abs=1e-12), pair
+
+
+@pytest.mark.parametrize("half", ["spectra", "ensemble"])
+def test_both_halves_refuse_the_same_witness_inputs(half, monkeypatch):
+    Q = np.eye(6)
+    Q[2, 2] = 0.0  # V(X2) = 0: no inferred variance can be conditioned on mode 2
+    duan, epr = witness_halves(Q)[half]
+
+    def combine(self, arr):
+        raise AssertionError("a table was combined before the arguments were checked")
+
+    monkeypatch.setattr(MomentTable, "_combine", combine)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign must be"):
+            duan(sign)
+    for pair in ((1, 1), (3, 3), (1, 4), (0, 2)):
+        with pytest.raises(ValueError):
+            epr(*pair)
+    monkeypatch.undo()
+    with pytest.raises(CorrelationError, match="steering-mode variance"):
+        epr(1, 2)
+    # conditioning on mode 1 is defined; mode 2's own V(X2) = 0 carries through
+    assert epr(2, 1) == pytest.approx(0.0, abs=1e-12)

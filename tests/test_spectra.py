@@ -1,10 +1,13 @@
 """Drift/diffusion structure, the spectral formula and output spectra."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import sfgsim as sf
 from sfgsim.errors import CorrelationError, UnstableOperatingPointError
+from sfgsim.presets import PRESETS
 
 import oracles
 
@@ -187,6 +190,18 @@ def test_spectral_epr_validates_modes():
     res = sf.spectrum(P600, omegas=np.array([0.0]))
     with pytest.raises(ValueError):
         sf.spectral_epr(res, 1, 1)
+
+
+@pytest.mark.parametrize("run", [PRESETS["fig4"].parameters["eps=600"],
+                                 PRESETS["fig7"].parameters["run"]], ids=["fig4-eps600", "fig7"])
+def test_spectral_witnesses_equal_their_written_out_bodies_bit_for_bit(run):
+    res = sf.spectrum(sf.SystemParams(**run))
+    for sign in (+1, -1):
+        got = sf.spectral_duan_simon(res, sign)
+        assert got.tobytes() == oracles.spectral_duan_simon(res.output, sign).tobytes(), sign
+    for pair in itertools.permutations((1, 2, 3), 2):
+        got = sf.spectral_epr(res, *pair)
+        assert got.tobytes() == oracles.spectral_epr(res.output, *pair).tobytes(), pair
 
 
 def test_monotone_deepening_with_drive_at_zero_frequency():

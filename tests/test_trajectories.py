@@ -307,6 +307,19 @@ def test_reduction_is_the_rowwise_reduceat_bit_for_bit(counts, masked):
     assert np.isfinite(got.nn).all()
 
 
+def test_a_table_without_survivors_has_nan_standard_errors():
+    # every trajectory of both batches diverged: no batch value to spread
+    valid = np.zeros(2, int)
+    moments = [np.zeros((2, 1, 3) + (() if right is None else (3,)), dtype=complex)
+               for _, right in trajectories.MOMENTS.values()]
+    m = trajectories.MomentTable(None, valid, valid, *moments,
+                                 n_diverged=8, config=tw_config(), params=TW)
+    with np.errstate(invalid="ignore"):
+        value, se = m.intensities()
+    assert value.shape == se.shape == (1, 3)
+    assert np.isnan(value).all() and np.isnan(se).all()
+
+
 def test_moment_table_takes_each_moment_once():
     # positionally in MOMENTS order, by name, or both; never one too many,
     # one twice or one missing
