@@ -12,10 +12,10 @@ deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
 any CSV can be regenerated from its sidecar alone.
 
-Every failure prints a one-line ``error:`` message and exits nonzero
-(``_EXIT_CODES``).  The only environment variable honoured is
-SFGSIM_THREADS (default worker count for trajectory ensembles), parsed
-and checked like the ``threads`` key.
+Every failure, running out of memory included, prints a one-line
+``error:`` message and exits nonzero (``_EXIT_CODES``).  The only
+environment variable honoured is SFGSIM_THREADS (default worker count for
+trajectory ensembles), parsed and checked like the ``threads`` key.
 """
 
 import argparse
@@ -40,9 +40,10 @@ from .errors import (
 )
 
 # exit codes: 0 success; 1 usage, configuration, parameter, file or solver
-# error; 2 spectra requested at an unstable operating point; 3 ensemble
-# quality failure (diverged trajectories).  ``main`` maps an error's type
-# through ``_EXIT_CODES``, and every other error to 1.
+# error, or memory exhausted (MemoryError); 2 spectra requested at an
+# unstable operating point; 3 ensemble quality failure (diverged
+# trajectories).  ``main`` maps an error's type through ``_EXIT_CODES``,
+# and every other error it reports to 1.
 EXIT_OK = 0
 EXIT_USAGE = 1
 _EXIT_CODES = {UnstableOperatingPointError: 2, EnsembleQualityError: 3}
@@ -192,7 +193,7 @@ def _cmd_steady(cfg):
 def _cmd_stability_map(cfg):
     if not SystemParams(cfg.kappa, cfg.gamma1, cfg.gamma2).is_symmetric:
         raise ConfigError("stability-map requires gamma1 == gamma2")
-    ratios = np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.n_ratio)
+    ratios = cfgmod.linear_grid(cfg.ratio_min, cfg.ratio_max, cfg.n_ratio, "n_ratio")
     if np.any(np.diff(ratios) <= 0):
         raise ConfigError(f"ratio_min {cfg.ratio_min!r} and ratio_max {cfg.ratio_max!r} "
                           f"are too close for n_ratio {cfg.n_ratio} distinct ratios")
@@ -336,8 +337,8 @@ def main(argv=None):
             return _cmd_reproduce(cfg, args.figure, args.plot_script)
         return {"steady": _cmd_steady, "stability-map": _cmd_stability_map,
                 "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg)
-    except (SfgsimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SfgsimError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 

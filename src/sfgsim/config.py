@@ -221,7 +221,10 @@ def resolved_t_max(cfg: RunConfig):
         return 8.0
     positive = [g for g in (cfg.gamma1, cfg.gamma2, cfg.gamma3) if g > 0]
     dt = resolved_dt(cfg)
-    return dt * round((10.0 / min(positive) if positive else 10.0) / dt)
+    steps = (10.0 / min(positive) if positive else 10.0) / dt
+    if not np.isfinite(steps):
+        raise ConfigError(f"t_max/dt: ten decay times over dt {dt!r} overflow; set t_max")
+    return dt * round(steps)
 
 
 def trajectory_config(cfg: RunConfig):
@@ -243,4 +246,12 @@ def omega_grid(cfg: RunConfig):
     hi = hi if cfg.omega_max is None else cfg.omega_max
     if not lo < hi:
         raise ConfigError("omega_min must be below omega_max")
-    return np.linspace(lo, hi, cfg.n_omega)
+    return linear_grid(lo, hi, cfg.n_omega, "n_omega")
+
+
+def linear_grid(lo, hi, n, key):
+    """``np.linspace(lo, hi, n)``; a size numpy cannot index is a ConfigError naming ``key``."""
+    try:
+        return np.linspace(lo, hi, n)
+    except ValueError:  # numpy refuses a size whose byte count overflows
+        raise ConfigError(f"{key} {n} is too large for an array") from None

@@ -166,6 +166,8 @@ class TrajectoryConfig:
         if not self.t_max >= self.dt:
             raise ParameterError("t_max must cover at least one step")
         steps = self.t_max / self.dt
+        if not np.isfinite(steps):
+            raise ParameterError(f"t_max/dt ({self.t_max!r}/{self.dt!r}) is not a finite count")
         if abs(steps - round(steps)) > 1e-9 * round(steps):
             raise ParameterError(
                 f"t_max ({self.t_max!r}) must be a whole number of steps dt "
@@ -475,7 +477,8 @@ def run_ensemble(params, init, cfg, threads=None):
     thread holds one list of generators, one per trajectory of the widest
     chunk it has run, which its later passes re-key rather than rebuild:
     at most min(threads, chunks) lists exist, one per thread of the call,
-    and they are freed with it.
+    and they are freed with it.  A table whose size numpy cannot index
+    raises ParameterError; one larger than memory raises MemoryError.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -499,8 +502,12 @@ def run_ensemble(params, init, cfg, threads=None):
     per_chunk = max(1, TRAJECTORY_CHUNK // batch_size)
     groups = [(b, min(b + per_chunk, B)) for b in range(0, B, per_chunk)]
 
-    tables = [np.zeros((B, S, 3) + (() if right is None else (3,)), dtype=complex)
-              for _, right in MOMENTS.values()]
+    try:
+        tables = [np.zeros((B, S, 3) + (() if right is None else (3,)), dtype=complex)
+                  for _, right in MOMENTS.values()]
+    except ValueError:  # numpy refuses a size whose byte count overflows
+        raise ParameterError(f"the moment table of {B} batches x {S} samples x 3 x 3 "
+                             f"is too large for an array; raise sample_stride") from None
     valid = np.zeros(B, dtype=int)
     # each worker thread's generator list, kept for its later groups
     local = threading.local()

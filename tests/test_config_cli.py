@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import string
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfgsim import SystemParams, cli, solve_steady, steady
+from sfgsim import SystemParams, cli, solve_steady, steady, trajectories
 from sfgsim.config import (
     COMMANDS,
     FIGURES,
@@ -59,6 +60,35 @@ def test_invariant_violation_names_the_invariant():
     with pytest.raises(ConfigError, match="ratio_max"):
         parse_config("ratio_min=2\nratio_max=2\n")
     assert parse_config("ratio_min=2\nratio_max=2\nn_ratio=1\n").n_ratio == 1
+
+
+@pytest.mark.parametrize("check, needle", [
+    (lambda: RunConfig(command="plot").validate(), "command must be one of"),
+    (lambda: RunConfig(gamma1=-1.0).validate(), "gamma1 >= 0"),
+    (lambda: RunConfig(gamma2=-1.0).validate(), "gamma2 >= 0"),
+    (lambda: RunConfig(gamma3=-1.0).validate(), "gamma3 >= 0"),
+    (lambda: RunConfig(mode="ring").validate(), "mode must be one of"),
+    (lambda: RunConfig(dt=0.0).validate(), "dt > 0"),
+    (lambda: RunConfig(t_max=-1.0).validate(), "t_max > 0"),
+    (lambda: RunConfig(sample_stride=0).validate(), "sample_stride >= 1"),
+    (lambda: RunConfig(n_traj=1).validate(), "n_traj >= 2"),
+    (lambda: RunConfig(seed=-1).validate(), "seed must fit in 64 bits"),
+    (lambda: RunConfig(seed=2**64).validate(), "seed must fit in 64 bits"),
+    (lambda: RunConfig(n_omega=1).validate(), "n_omega >= 2"),
+    (lambda: RunConfig(n_ratio=0).validate(), "n_ratio >= 1"),
+    (lambda: RunConfig(eps_max=0.0).validate(), "eps_max > 0"),
+    (lambda: RunConfig(threads=0).validate(), "threads >= 1"),
+    (lambda: parse_config("kappa=0.01\ngamma1 1\n"), "line 2: expected key=value"),
+    (lambda: omega_grid(RunConfig(omega_min=2.0, omega_max=1.0)),
+     "omega_min must be below omega_max"),
+    (lambda: omega_grid(RunConfig(omega_min=1.0, omega_max=1.0)),
+     "omega_min must be below omega_max"),
+], ids=["command", "gamma1", "gamma2", "gamma3", "mode", "dt", "t-max", "sample-stride",
+        "n-traj", "negative-seed", "seed-past-64-bits", "n-omega", "n-ratio", "eps-max",
+        "threads", "line-without-equals", "omega-bounds-reversed", "omega-bounds-equal"])
+def test_config_input_checks_name_their_invariant(check, needle):
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        check()
 
 
 def test_reproduce_key():
@@ -298,6 +328,16 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
      "'sub/' names a directory"),
     (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/."], {},
      "'sub/.' names a directory"),
+    # step counts and grid sizes beyond what a float or an array holds
+    (["simulate", "--mode", "tw", "--n-traj", "4", "--dt", "5e-324"], {}, "t_max/dt"),
+    (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e308"], {}, "t_max/dt"),
+    (["simulate", "--n-traj", "4", "--dt", "5e-324"], {}, "t_max/dt"),
+    (["spectrum", "--eps1", "100", "--eps2", "100", "--n-omega", "1" + "0" * 20], {},
+     "n_omega 100000000000000000000 is too large"),
+    (["stability-map", "--n-ratio", "1" + "0" * 20], {},
+     "n_ratio 100000000000000000000 is too large"),
+    (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e13", "--sample-stride", "1"],
+     {}, "moment table of 64 batches x 10000000000000001 samples"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -307,7 +347,9 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
-        "output-names-directory-dot"])
+        "output-names-directory-dot", "tw-dt-underflows-steps", "t-max-overflows-steps",
+        "automatic-t-max-overflows-steps", "n-omega-too-large", "n-ratio-too-large",
+        "moment-table-too-large"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -333,6 +375,23 @@ def test_cli_leaves_unexpected_value_errors_to_surface(tmp_path, monkeypatch):
     monkeypatch.setattr(steady, "solve_steady", broken)
     with pytest.raises(ValueError, match="broadcast"):
         cli.main(["steady", "--eps1", "200", "--eps2", "200"])
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.79 TiB for an array", "error: Unable to allocate 2.79 TiB for an array"),
+    ("", "error: out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_cli_reports_running_out_of_memory_as_one_error_line(message, line, tmp_path,
+                                                            monkeypatch, capsys):
+    # a real allocation failure depends on the host's overcommit policy
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(trajectories, "run_ensemble", exhausted)
+    assert cli.main(["simulate", "--n-traj", "4", "--t-max", "0.01"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [line] and out == ""
 
 
 def run_cli(args, cwd):

@@ -247,6 +247,12 @@ def test_imaginary_residue_is_asserted():
         sf.quadrature_variance(m, QuadratureSpec.x(1))
 
 
+@pytest.mark.parametrize("mode", [0, 4, 1.5])
+def test_quadrature_spec_names_its_invariant(mode):
+    with pytest.raises(ValueError, match="mode must be 1, 2 or 3"):
+        QuadratureSpec(mode)
+
+
 def test_duan_simon_sign_validation():
     z = coherent_samples(64, [1.0, 1.0, 0])
     m = table_from_samples(z)

@@ -18,19 +18,23 @@ def test_streams_differ_by_trajectory_and_seed():
     assert not np.array_equal(a, c)
 
 
+def block_in_new_buffer(gens, n_steps):
+    return draw_block(gens, n_steps, np.empty((len(gens), n_steps, NOISES_PER_STEP)))
+
+
 def test_block_size_does_not_change_the_stream():
     gens = [trajectory_generator(1, i) for i in range(3)]
-    whole = draw_block(gens, 50)
+    whole = block_in_new_buffer(gens, 50)
     gens = [trajectory_generator(1, i) for i in range(3)]
     pieces = np.concatenate(
-        [draw_block(gens, n) for n in (7, 13, 30)], axis=1)
+        [block_in_new_buffer(gens, n) for n in (7, 13, 30)], axis=1)
     assert np.array_equal(whole, pieces)
     assert whole.shape == (3, 50, NOISES_PER_STEP)
 
 
 def test_reused_buffer_gives_the_fresh_stream():
     gens = [trajectory_generator(1, i) for i in range(3)]
-    whole = draw_block(gens, 50)
+    whole = block_in_new_buffer(gens, 50)
     gens = [trajectory_generator(1, i) for i in range(3)]
     buf = np.empty((3, 30, NOISES_PER_STEP))
     pieces = []

@@ -1,6 +1,7 @@
 """Drift/diffusion structure, the spectral formula and output spectra."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,15 @@ def test_spectral_epr_validates_modes():
     res = sf.spectrum(P600, omegas=np.array([0.0]))
     with pytest.raises(ValueError):
         sf.spectral_epr(res, 1, 1)
+
+
+@pytest.mark.parametrize("mode, quad, needle", [
+    (0, "X", "mode must be 1, 2 or 3"), (4, "Y", "mode must be 1, 2 or 3"),
+    (1, "Z", "quad must be 'X' or 'Y'"), (2, "", "quad must be 'X' or 'Y'"),
+])
+def test_quadrature_index_names_its_invariant(mode, quad, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        sf.quadrature_index(mode, quad)
 
 
 @pytest.mark.parametrize("run", [PRESETS["fig4"].parameters["eps=600"],

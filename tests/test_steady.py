@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import sfgsim as sf
 from sfgsim import presets, spectra, steady
-from sfgsim.errors import SteadyStateError
+from sfgsim.errors import ParameterError, SteadyStateError
 
 import oracles
 
@@ -55,6 +57,38 @@ def test_symmetric_requires_symmetric_params():
     with pytest.raises(ValueError):
         sf.solve_steady_symmetric(
             sf.SystemParams(0.01, 1.0, 1.0, 10.0, 400.0j, 400.0j))
+
+
+_REAL = sf.SteadyStateSolution(1.0 + 0j, 1.0 + 0j, -1.0 + 0j, 0.0, "closed-form-symmetric")
+
+
+@pytest.mark.parametrize("check, needle", [
+    (lambda: steady.stability_map(0.01, 1.0, [1.0, 2.0], (0.0, 0.0)),
+     "epsilon_range must satisfy 0 <= lo < hi"),
+    (lambda: steady.stability_map(0.01, 1.0, [1.0, 2.0], (-1.0, 5.0)),
+     "epsilon_range must satisfy 0 <= lo < hi"),
+    (lambda: steady.stability_map(0.01, 1.0, [1.0, 2.0], (5.0, 1.0)),
+     "epsilon_range must satisfy 0 <= lo < hi"),
+    (lambda: steady.critical_point(params(100.0, gamma=0.0)),
+     "critical_point requires gamma > 0 and gamma3 > 0"),
+    (lambda: steady.critical_point(params(100.0, gamma3=0.0)),
+     "critical_point requires gamma > 0 and gamma3 > 0"),
+    (lambda: sf.solve_steady_symmetric(params(100.0, gamma=0.0)),
+     "needs gamma > 0 and gamma3 > 0"),
+    (lambda: sf.solve_steady_symmetric(params(100.0, gamma3=0.0)),
+     "needs gamma > 0 and gamma3 > 0"),
+    (lambda: steady.eigenvalues_symmetric(
+        params(100.0), dataclasses.replace(_REAL, alpha1=1.0 + 1e-6j)),
+     "requires a real steady state"),
+    (lambda: steady.eigenvalues_symmetric(
+        params(100.0), dataclasses.replace(_REAL, alpha3=-1.0 + 1e-6j)),
+     "requires a real steady state"),
+], ids=["epsilon-range-empty", "epsilon-range-negative", "epsilon-range-reversed",
+        "critical-gamma-zero", "critical-gamma3-zero", "symmetric-gamma-zero",
+        "symmetric-gamma3-zero", "eigenvalues-complex-alpha1", "eigenvalues-complex-alpha3"])
+def test_steady_input_checks_name_their_invariant(check, needle):
+    with pytest.raises(ParameterError, match=re.escape(needle)):
+        check()
 
 
 def test_candidate_roots_reported():

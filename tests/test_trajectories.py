@@ -1,5 +1,6 @@
 """Integrator correctness, ensemble statistics and reproducibility."""
 
+import re
 import sys
 import tracemalloc
 
@@ -482,6 +483,28 @@ def test_a_stride_past_the_grid_is_refused(t_max, dt, stride):
     cfg = sf.TrajectoryConfig(dt=dt, t_max=t_max, n_traj=2, seed=0,
                               sample_stride=round(t_max / dt))
     assert cfg.n_samples == 2
+
+
+@pytest.mark.parametrize("check, needle", [
+    (lambda: tw_config(dt=0.0), "dt must be > 0"),
+    (lambda: tw_config(dt=5e-4, t_max=4e-4), "t_max must cover at least one step"),
+    (lambda: tw_config(dt=5e-324, t_max=8.0), "t_max/dt (8.0/5e-324) is not a finite count"),
+    (lambda: tw_config(dt=1e-3, t_max=1e308), "t_max/dt (1e+308/0.001) is not a finite count"),
+    (lambda: tw_config(sample_stride=0), "sample_stride must be >= 1"),
+    (lambda: tw_config(mode="tw"), "mode must be one of"),
+    (lambda: tw_config(n_batches=1), "n_batches must be >= 2"),
+    (lambda: tw_config(seed=-1), "seed must fit in 64 bits"),
+    (lambda: tw_config(seed=2**64), "seed must fit in 64 bits"),
+    (lambda: sf.run_ensemble(sf.SystemParams(0.01, 1.0, 1.0, 10.0),
+                             sf.PhaseSpacePoint.coherent(alpha1=complex("nan")),
+                             tw_config(mode="cavity")),
+     "initial state must be finite"),
+], ids=["dt", "t-max-below-dt", "steps-overflow-tiny-dt", "steps-overflow-huge-t-max",
+        "sample-stride", "mode", "n-batches", "negative-seed", "seed-past-64-bits",
+        "non-finite-initial-state"])
+def test_trajectory_input_checks_name_their_invariant(check, needle):
+    with pytest.raises(ParameterError, match=re.escape(needle)):
+        check()
 
 
 def test_different_seed_changes_results():
