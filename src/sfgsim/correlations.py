@@ -141,20 +141,23 @@ def fano(m: MomentTable, modes=(1, 2)) -> CorrelationSeries:
     """Fano factor of the photon-number sum over ``modes``.
 
     F = V(N)/<N> with the physical variance; coherent light gives exactly
-    1, below 1 is sub-Poissonian.
+    1, below 1 is sub-Poissonian.  A sample whose combined mean <N> is
+    below FANO_MEAN_GUARD (a vacuum start's t = 0) reads NaN, value and
+    SE; with no sample above it the series raises CorrelationError.
     """
     idx = [mode - 1 for mode in modes]
     gview = m.global_view()
-    mean_n = np.real(sum(gview.apa[:, j, j] for j in idx))
-    if np.any(mean_n < FANO_MEAN_GUARD):
+    defined = np.real(sum(gview.apa[:, j, j] for j in idx)) >= FANO_MEAN_GUARD
+    if not defined.any():
         raise CorrelationError(
-            f"Fano factor undefined: mean photon number below {FANO_MEAN_GUARD}"
+            f"Fano factor undefined: mean photon number below {FANO_MEAN_GUARD} at every sample"
         )
 
     def raw(view):
         n1 = sum(view.apa[:, j, j] for j in idx)
         n2 = sum(view.nn[:, j, k] for j in idx for k in idx)
-        return 1.0 + (n2 - n1**2) / n1
+        # divided by 1 where undefined, so those samples raise no 0/0 warning
+        return np.where(defined, 1.0 + (n2 - n1**2) / np.where(defined, n1, 1.0), np.nan)
 
     label = "F(N" + "+N".join(str(mode) for mode in modes) + ")"
     return _series(m, raw, 1.0, label)

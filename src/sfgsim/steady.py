@@ -17,7 +17,10 @@ eliminating the low-frequency amplitude leaves a cubic in a3,
 which is monotone on a3 <= 0 and therefore has exactly one nonpositive
 real root: the physical branch (a3 <= 0, a = eps/(gamma - kappa a3) >= 0).
 Raising the drive pushes kappa*a3 toward -gamma, where the slowest drift
-eigenvalue crosses zero; that defines the critical operating point.
+eigenvalue crosses zero; that defines the critical operating point,
+epsilon_c = 2 gamma sqrt(gamma gamma3)/kappa.  ``stability_map`` reports
+that closed form as each boundary, certified by two eigenvalue solves:
+stable at epsilon_c (1 - rel_tol), unstable at epsilon_c (1 + rel_tol).
 
 ``solve_steady_symmetric`` takes that root from the companion-matrix
 roots (``np.roots``), polishes it with Newton steps on the cubic and
@@ -107,7 +110,14 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class StabilityBoundary:
-    """One row of a stability-map scan."""
+    """One row of a stability-map scan.
+
+    When ``bracketed``, ``epsilon_boundary`` is the closed form
+    ``epsilon_closed_form``, certified stable at (1 - rel_tol) times it
+    and unstable at (1 + rel_tol) times it; otherwise it is None and
+    ``note`` says why: the range misses that bracket, or a side of it
+    failed its certificate.
+    """
 
     gamma3_over_gamma: float
     epsilon_boundary: float | None
@@ -462,9 +472,13 @@ def drive_ratios(params: SystemParams):
 def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     """Stability boundary of the symmetric cavity over a loss-ratio grid.
 
-    For each gamma3/gamma the boundary drive is located by bisection on
-    the stability margin inside ``epsilon_range = (lo, hi)``.  A grid row
-    whose range fails to bracket the boundary is reported, not fatal.
+    For each gamma3/gamma the boundary is the closed form epsilon_c of
+    ``critical_point``, certified by two stability solves: the margin
+    must be positive at epsilon_c (1 - rel_tol) and negative at
+    epsilon_c (1 + rel_tol), so ``rel_tol`` is the certified bracket's
+    half-width.  A row whose ``epsilon_range = (lo, hi)`` does not hold
+    that bracket, or whose certificate fails, is reported unbracketed
+    with a note, not fatal.
     """
     ratios = np.asarray(gamma3_over_gamma, dtype=float)
     if ratios.size == 0 or np.any(np.diff(ratios) <= 0):
@@ -472,7 +486,7 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     eps_lo, eps_hi = float(epsilon_range[0]), float(epsilon_range[1])
     if not 0 <= eps_lo < eps_hi:
         raise ParameterError("epsilon_range must satisfy 0 <= lo < hi")
-    # NaN would end the bisection at once; 0 or less would never end it
+    # the bracket (1 -/+ rel_tol) epsilon_c must be nonempty and above zero
     if not 0 < rel_tol < 1:
         raise ParameterError(f"rel_tol must satisfy 0 < rel_tol < 1 (got {rel_tol!r})")
 
@@ -480,21 +494,14 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     for ratio in ratios:
         p_of = lambda e: SystemParams.symmetric(kappa, gamma, ratio * gamma, e)
         closed = critical_point(p_of(0.0)).epsilon_c
-
-        def margin(e):
-            return stability(p_of(e)).margin
-
-        m_lo, m_hi = margin(max(eps_lo, 1e-12 * closed)), margin(eps_hi)
-        if m_lo <= 0 or m_hi >= 0:
-            note = "entire range unstable" if m_lo <= 0 else "entire range stable"
-            rows.append(StabilityBoundary(float(ratio), None, closed, False, note))
-            continue
-        lo, hi = eps_lo, eps_hi
-        while hi - lo > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if margin(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        rows.append(StabilityBoundary(float(ratio), 0.5 * (lo + hi), closed, True))
+        below, above = closed * (1 - rel_tol), closed * (1 + rel_tol)
+        if eps_lo <= below and above <= eps_hi:
+            m_below, m_above = stability(p_of(below)).margin, stability(p_of(above)).margin
+            note = "" if m_below > 0 > m_above else ("closed form not certified: margin "
+                f"{m_below:.3g} at {below:.9g}, {m_above:.3g} at {above:.9g}")
+        else:
+            note = ("entire range stable" if eps_hi < closed else
+                    "entire range unstable" if eps_lo > closed else
+                    f"range ends inside the certified bracket ({below:.9g}, {above:.9g})")
+        rows.append(StabilityBoundary(float(ratio), None if note else closed, closed, not note, note))
     return rows

@@ -477,8 +477,9 @@ def run_ensemble(params, init, cfg, threads=None):
     thread holds one list of generators, one per trajectory of the widest
     chunk it has run, which its later passes re-key rather than rebuild:
     at most min(threads, chunks) lists exist, one per thread of the call,
-    and they are freed with it.  A table whose size numpy cannot index
-    raises ParameterError; one larger than memory raises MemoryError.
+    and they are freed with it.  A table, or a batch's (6, width) state,
+    whose size numpy cannot index raises ParameterError before any work;
+    one larger than memory raises MemoryError.
     """
     if threads is None:
         text = os.environ.get("SFGSIM_THREADS", "1")
@@ -495,6 +496,13 @@ def run_ensemble(params, init, cfg, threads=None):
 
     B = cfg.n_batches
     S = cfg.n_samples
+    # the batch bounds are intp, and a chunk's pass holds the (6, width)
+    # complex state of at least one whole batch: refuse what numpy cannot
+    # size before anything is sized by it
+    widest = -(-cfg.n_traj // B)
+    if max(cfg.n_traj, 6 * 16 * widest) > np.iinfo(np.intp).max:
+        raise ParameterError(f"n_traj {cfg.n_traj} in n_batches {B} gives batches of {widest} "
+                             "trajectories, too wide for an array")
     counts, bounds = _batch_bounds(cfg.n_traj, B)
 
     # group whole batches into chunks near the vectorization target

@@ -338,6 +338,8 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
      "n_ratio 100000000000000000000 is too large"),
     (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e13", "--sample-stride", "1"],
      {}, "moment table of 64 batches x 10000000000000001 samples"),
+    (["simulate", "--n-traj", "1" + "0" * 20, "--t-max", "0.01"], {},
+     "n_traj 100000000000000000000 in n_batches 64 gives batches of 1562500000000000000"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -349,7 +351,7 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
         "output-names-directory-dot", "tw-dt-underflows-steps", "t-max-overflows-steps",
         "automatic-t-max-overflows-steps", "n-omega-too-large", "n-ratio-too-large",
-        "moment-table-too-large"])
+        "moment-table-too-large", "batch-too-wide"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Correlation measures: ordering corrections, witnesses, consistency."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,27 @@ def test_fano_guard_on_vacuum():
     m = table_from_samples(z)
     with pytest.raises(CorrelationError):
         sf.fano(m, modes=(1, 2))
+
+
+def test_fano_is_nan_only_where_the_mean_is_undefined():
+    # a vacuum start has <N> = 0 at t = 0 and light afterwards; the later
+    # samples keep the bits of the unguarded formula
+    p = sf.SystemParams.symmetric(0.5, 1.0, 1.0, 1.0)
+    cfg = TrajectoryConfig(dt=1e-3, t_max=0.2, n_traj=64, seed=3, sample_stride=50,
+                           n_batches=8)
+    m = sf.run_ensemble(p, sf.PhaseSpacePoint.vacuum(), cfg, threads=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 warning from the vacuum sample
+        f = sf.fano_sum(m)
+    assert np.isnan(f.values[0]) and np.isnan(f.se[0])
+
+    def unguarded(view):
+        n1 = sum(view.apa[1:, j, j] for j in (0, 1))
+        n2 = sum(view.nn[1:, j, k] for j in (0, 1) for k in (0, 1))
+        return 1.0 + (n2 - n1**2) / n1
+
+    value, se = m.batch_statistic(unguarded)
+    assert np.array_equal(f.values[1:], value.real) and np.array_equal(f.se[1:], se)
 
 
 def test_epr_guard_on_degenerate_variance():

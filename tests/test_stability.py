@@ -127,6 +127,50 @@ def test_stability_map_reports_bracket_failures():
     assert "stable" in rows[0].note
 
 
+def test_stability_map_certifies_with_two_solves_per_ratio(monkeypatch):
+    # ratio 100 has epsilon_c 2000, past the range: no solve at all
+    calls = []
+
+    def counted(params, ss=None):
+        calls.append(params.eps1.real)
+        return stability(params, ss)
+
+    stability = sf.steady.stability
+    monkeypatch.setattr(sf.steady, "stability", counted)
+    rows = sf.stability_map(0.01, 1.0, [1.0, 4.0, 10.0, 100.0], (0.0, 1500.0), rel_tol=1e-5)
+    assert len(calls) == 2 * 3
+    for row, (below, above) in zip(rows, zip(calls[0::2], calls[1::2])):
+        assert row.bracketed and row.epsilon_boundary == row.epsilon_closed_form
+        assert (below, above) == pytest.approx(
+            (row.epsilon_closed_form * (1 - 1e-5), row.epsilon_closed_form * (1 + 1e-5)))
+    assert not rows[3].bracketed and rows[3].note == "entire range stable"
+
+
+def test_stability_map_reports_a_failed_certificate(monkeypatch):
+    # a closed form 1% high leaves its bracket unstable on both sides
+    def high(params):
+        cp = critical_point(params)
+        return sf.steady.CriticalPoint(cp.alpha_c, 1.01 * cp.epsilon_c, cp.alpha3_c)
+
+    critical_point = sf.steady.critical_point
+    monkeypatch.setattr(sf.steady, "critical_point", high)
+    row, = sf.stability_map(0.01, 1.0, [4.0], (0.0, 1500.0))
+    assert not row.bracketed and row.epsilon_boundary is None
+    assert row.epsilon_closed_form == pytest.approx(1.01 * 400.0)
+    assert row.note.startswith("closed form not certified: margin ")
+
+
+@pytest.mark.parametrize("eps_range, note", [
+    ((0.0, 400.0), "range ends inside the certified bracket"),
+    ((400.0, 500.0), "range ends inside the certified bracket"),
+    ((401.0, 500.0), "entire range unstable"),
+])
+def test_stability_map_notes_a_range_without_the_bracket(eps_range, note):
+    # ratio 4: epsilon_c = 400, bracketed to (399.6, 400.4) at rel_tol 1e-3
+    row, = sf.stability_map(0.01, 1.0, [4.0], eps_range, rel_tol=1e-3)
+    assert not row.bracketed and row.note.startswith(note)
+
+
 def test_stability_map_validates_grids():
     with pytest.raises(ValueError):
         sf.stability_map(0.01, 1.0, [], (0.0, 100.0))
@@ -136,9 +180,9 @@ def test_stability_map_validates_grids():
 
 @pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1e-3, 1.0])
 def test_stability_map_validates_rel_tol(rel_tol):
-    # NaN ended the bisection at once (ratio 2 over (0, 2000) read 1000.0
-    # against 282.84); 0 and below never ended it, since the midpoint of
-    # adjacent floats is one of them
+    # each gives no certified bracket (1 -/+ rel_tol) epsilon_c: NaN an
+    # undefined one, 0 an empty one, and -1e-3 or 1 one that is reversed or
+    # reaches zero drive
     with pytest.raises(ParameterError, match="rel_tol"):
         sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0), rel_tol=rel_tol)
     row, = sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0))

@@ -298,6 +298,29 @@ def test_general_solver_stops_at_convergence_for_large_pumps(monkeypatch):
     assert ss.alpha3.real == pytest.approx(a3, rel=1e-12, abs=0)
 
 
+def test_general_solver_backtracks_a_newton_step_that_raises_the_residual(monkeypatch):
+    # an asymmetric point whose full Newton steps overshoot twice: a trial
+    # whose residual does not fall below the best so far is halved
+    residuals, rhs = [], steady.classical_rhs
+    solves, solve = [], np.linalg.solve
+
+    def recorded(params, x, out=None):
+        F = rhs(params, x, out)
+        residuals.append(float(np.max(np.abs(F))))
+        return F
+
+    monkeypatch.setattr(steady, "classical_rhs", recorded)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    p = sf.SystemParams(0.6034, 0.6829, 0.5912, 1.6686, 209.27, 200.16)
+    ss = sf.solve_steady_general(p)
+    trials = residuals[1:-1]  # after the start, before the verifying residual_norm
+    halved = sum(r >= min(residuals[:i + 1]) for i, r in enumerate(trials))
+    assert halved == 2
+    # every other trial was a Newton step accepted: no damped fallback ran
+    assert len(trials) == len(solves) + halved
+    assert ss.residual < steady._residual_bound(p, ss.alpha1, ss.alpha2, ss.alpha3)
+
+
 @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig7", "fig8"])
 def test_general_solver_is_converged_at_figure_pumps(figure):
     # a stop no earlier than rounding: further Newton steps and, for
