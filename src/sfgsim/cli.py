@@ -10,7 +10,12 @@ does in a configuration file, and flags override values read with
 Every data-producing command writes CSV files (full round-trip precision,
 deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
-any CSV can be regenerated from its sidecar alone.
+any CSV can be regenerated from its sidecar alone.  A physics key a run
+does not use (each of them for ``reproduce``, the pumps and losses for a
+travelling wave) is refused as a flag, and as a file key unless it holds
+its default or, for a travelling wave, zero.  A command writes its files
+before it prints, and a stdout closed early (``| head``) ends the
+printing, not the run: exit 0, no message.
 
 Every failure, running out of memory included, prints a one-line
 ``error:`` message and exits nonzero (``_EXIT_CODES``).  The only
@@ -19,6 +24,7 @@ trajectory ensembles), parsed and checked like the ``threads`` key.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -114,19 +120,27 @@ def _merge_config(args):
     flags = {key: getattr(args, key) for key in _SUBCOMMANDS[args.command][1]
              if hasattr(args, key)}
     flags["command"] = args.command
+    merged = {**values, **flags}
+    # a key the run never reads would be recorded in the sidecar beside data
+    # not computed with it: such a flag is refused, and such a file key unless
+    # it holds RunConfig's default, as every sidecar renders it, or the zero
+    # a travelling-wave run uses
+    unused, why, kept = (), "", ()
     if args.command == "reproduce":
-        # a preset runs its own parameters, so a physics flag or file key
-        # would be recorded in the sidecar beside data not computed with it
-        ignored = (["--" + key for key in _PHYSICS_KEYS if key in flags]
-                   + [f"{key} in {args.config}" for key in _PHYSICS_KEYS if key in values])
-        if ignored:
-            raise ConfigError(f"reproduce runs the preset's own parameters; "
-                              f"{', '.join(ignored)} cannot change them")
+        unused, why = _PHYSICS_KEYS, "reproduce runs the preset's own parameters"
+    elif args.command == "simulate" and merged.get("mode") in ("tw", "travelling-wave"):
+        unused, why, kept = _PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)
+    ignored = (["--" + key for key in unused if key in flags]
+               + [f"{key} in {args.config}" for key in unused if key in values
+                  and values[key] not in (getattr(cfgmod.RunConfig, key), *kept)])
+    if ignored:
+        raise ConfigError(f"{why}; {', '.join(ignored)} cannot change them")
+    if args.command == "reproduce":
         repeated = sorted({fig for fig in args.figure if args.figure.count(fig) > 1})
         if repeated:
             raise ConfigError(f"reproduce: {', '.join(repeated)} given more than once")
-        flags["reproduce"] = args.figure[0]
-    cfg = cfgmod.RunConfig(**{**values, **flags}).validate()
+        merged["reproduce"] = args.figure[0]
+    cfg = cfgmod.RunConfig(**merged).validate()
     directory, base = os.path.split(cfg.output or "sfgsim")  # fail before the work
     if base in ("", ".", ".."):  # a directory: its {prefix}.csv would be hidden
         raise ConfigError(f"output prefix {cfg.output!r} names a directory, not a file prefix")
@@ -163,17 +177,32 @@ def _emit(cfg, name, columns, units=None, extra=None):
     return prefix
 
 
+def _report(lines):
+    """Print a command's lines, once its files are written.
+
+    A reader that closed stdout early (``| head``) has read all it wanted:
+    the rest is dropped, and stdout's descriptor is pointed at the null
+    device so that the interpreter's flush at exit does not fail again.
+    """
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        with contextlib.suppress(OSError):  # a stdout with no descriptor, e.g. io.StringIO
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+
+
+# Each command below writes its files and returns the lines it reports.
 def _cmd_steady(cfg):
     params = cfgmod.system_params(cfg)
     ss = steady.solve_steady(params)
     report = steady.stability(params, ss)
-    print(f"method:   {ss.method}")
-    print(f"alpha1:   {ss.alpha1}")
-    print(f"alpha2:   {ss.alpha2}")
-    print(f"alpha3:   {ss.alpha3}")
-    print(f"residual: {ss.residual:.3e}")
-    print(f"stable:   {report.stable} (margin {report.margin:.6g})")
-    print("eigenvalues: " + ", ".join(f"{z:.6g}" for z in report.eigenvalues))
+    lines = [f"method:   {ss.method}", f"alpha1:   {ss.alpha1}", f"alpha2:   {ss.alpha2}",
+             f"alpha3:   {ss.alpha3}", f"residual: {ss.residual:.3e}",
+             f"stable:   {report.stable} (margin {report.margin:.6g})",
+             "eigenvalues: " + ", ".join(f"{z:.6g}" for z in report.eigenvalues)]
     columns = {
         "alpha1": [ss.alpha1], "alpha2": [ss.alpha2], "alpha3": [ss.alpha3],
         "residual": [ss.residual], "method": [ss.method],
@@ -182,12 +211,12 @@ def _cmd_steady(cfg):
     if ss.method == "closed-form-symmetric" and params.gamma1 > 0 and params.gamma3 > 0:
         cp = steady.critical_point(params)
         amp, intensity = steady.drive_ratios(params)
-        print(f"critical drive: {cp.epsilon_c:.6g} (alpha_c {cp.alpha_c:.6g})")
-        print(f"drive ratio: amplitude {amp:.4f}, intensity {intensity:.4f}")
+        lines += [f"critical drive: {cp.epsilon_c:.6g} (alpha_c {cp.alpha_c:.6g})",
+                  f"drive ratio: amplitude {amp:.4f}, intensity {intensity:.4f}"]
         columns.update(epsilon_c=[cp.epsilon_c], alpha_c=[cp.alpha_c],
                        amplitude_ratio=[amp], intensity_ratio=[intensity])
     _emit(cfg, "steady", columns)
-    return EXIT_OK
+    return lines
 
 
 def _cmd_stability_map(cfg):
@@ -207,12 +236,10 @@ def _cmd_stability_map(cfg):
         "epsilon_closed_form": [r.epsilon_closed_form for r in rows],
         "note": [r.note or "ok" for r in rows],
     }
-    for r in rows:
-        mark = f"{r.epsilon_boundary:.6g}" if r.bracketed else f"NOT BRACKETED ({r.note})"
-        print(f"gamma3/gamma {r.gamma3_over_gamma:8.3f}: boundary {mark}  "
-              f"closed form {r.epsilon_closed_form:.6g}")
     _emit(cfg, "stability_map", columns)
-    return EXIT_OK
+    return [f"gamma3/gamma {r.gamma3_over_gamma:8.3f}: boundary "
+            + (f"{r.epsilon_boundary:.6g}" if r.bracketed else f"NOT BRACKETED ({r.note})")
+            + f"  closed form {r.epsilon_closed_form:.6g}" for r in rows]
 
 
 def _cmd_spectrum(cfg):
@@ -232,8 +259,7 @@ def _cmd_spectrum(cfg):
         "stability_margin": steady.stability(params, result.steady_state).margin,
         "max_asymmetry": result.max_asymmetry,
     })
-    print(f"wrote {prefix}.csv ({len(result.omega)} frequencies)")
-    return EXIT_OK
+    return [f"wrote {prefix}.csv ({len(result.omega)} frequencies)"]
 
 
 def _cmd_simulate(cfg):
@@ -251,19 +277,19 @@ def _cmd_simulate(cfg):
         ("epr12", lambda: corr.epr_product(table, 1, 2)),
         ("epr21", lambda: corr.epr_product(table, 2, 1)),
     ]
+    lines = []
     for name, build in series:
         try:
             s = build()
         except SfgsimError as exc:
-            print(f"note: {name} column omitted ({exc})")
+            lines.append(f"note: {name} column omitted ({exc})")
             continue
         columns[name] = s.values
         columns[f"{name}_se"] = s.se
     prefix = _emit(cfg, "simulate", columns,
                    extra={"n_traj": tcfg.n_traj, "n_diverged": table.n_diverged})
-    print(f"wrote {prefix}.csv ({table.config.n_samples} samples, "
-          f"{table.n_diverged} diverged)")
-    return EXIT_OK
+    return lines + [f"wrote {prefix}.csv ({table.config.n_samples} samples, "
+                    f"{table.n_diverged} diverged)"]
 
 
 _PLOT_TEMPLATE = """\
@@ -292,11 +318,14 @@ print("wrote", {png_name!r})
 
 
 def _cmd_reproduce(cfg, figures, plot_script):
-    """Each figure in turn, as ``reproduce FIG`` alone would write it (``P_figN`` if several)."""
+    """Each figure in turn, as ``reproduce FIG`` alone would write and report it.
+
+    With several figures, ``--output P`` writes each under ``P_figN``.
+    """
     for fig in figures:
         output = f"{cfg.output}_{fig}" if cfg.output and len(figures) > 1 else cfg.output
-        _reproduce_one(dataclasses.replace(cfg, reproduce=fig, output=output), plot_script)
-    return EXIT_OK
+        _report(_reproduce_one(dataclasses.replace(cfg, reproduce=fig, output=output),
+                               plot_script))
 
 
 def _reproduce_one(cfg, plot_script):
@@ -310,11 +339,8 @@ def _reproduce_one(cfg, plot_script):
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in result.checks],
     })
-    print(f"{preset.name}: {preset.description}")
-    print(f"wrote {prefix}.csv")
-    for c in result.checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"  [{status}] {c.name}: {c.detail}")
+    lines = [f"{preset.name}: {preset.description}", f"wrote {prefix}.csv"]
+    lines += [f"  [{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in result.checks]
     if plot_script:
         axis = next(iter(result.columns))
         script = _PLOT_TEMPLATE.format(
@@ -325,7 +351,8 @@ def _reproduce_one(cfg, plot_script):
         )
         with open(f"{prefix}_plot.py", "w", encoding="utf-8") as fh:
             fh.write(script)
-        print(f"wrote {prefix}_plot.py")
+        lines.append(f"wrote {prefix}_plot.py")
+    return lines
 
 
 def main(argv=None):
@@ -334,9 +361,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
         if cfg.command == "reproduce":
-            return _cmd_reproduce(cfg, args.figure, args.plot_script)
-        return {"steady": _cmd_steady, "stability-map": _cmd_stability_map,
-                "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg)
+            _cmd_reproduce(cfg, args.figure, args.plot_script)
+        else:
+            _report({"steady": _cmd_steady, "stability-map": _cmd_stability_map,
+                     "spectrum": _cmd_spectrum, "simulate": _cmd_simulate}[cfg.command](cfg))
+        return EXIT_OK
     except (SfgsimError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_USAGE)

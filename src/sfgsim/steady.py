@@ -20,12 +20,12 @@ Raising the drive pushes kappa*a3 toward -gamma, where the slowest drift
 eigenvalue crosses zero; that defines the critical operating point,
 epsilon_c = 2 gamma sqrt(gamma gamma3)/kappa.  ``stability_map`` reports
 that closed form as each boundary, certified by two eigenvalue solves:
-stable at epsilon_c (1 - rel_tol), unstable at epsilon_c (1 + rel_tol).
+stable at epsilon_c (1 - rel_tol), not stable at epsilon_c (1 + rel_tol).
 
 ``solve_steady_symmetric`` takes that root from the companion-matrix
-roots (``np.roots``), polishes it with Newton steps on the cubic and
-verifies it against the full fixed-point equations.  Any other driving
-goes to ``solve_steady_general``: Newton iteration on the six phase-space
+roots (``np.roots``) as it is and verifies it against the full
+fixed-point equations.  Any other driving goes to
+``solve_steady_general``: Newton iteration on the six phase-space
 components with backtracking and a damped fixed-point fallback.
 """
 
@@ -64,17 +64,7 @@ class SteadyStateSolution:
     @property
     def phase_space(self):
         """Six-component phase-space vector with conjugate plus variables."""
-        return np.array(
-            [
-                self.alpha1,
-                np.conj(self.alpha1),
-                self.alpha2,
-                np.conj(self.alpha2),
-                self.alpha3,
-                np.conj(self.alpha3),
-            ],
-            dtype=complex,
-        )
+        return _doubled(self.alpha1, self.alpha2, self.alpha3)
 
     @property
     def intensities(self):
@@ -114,7 +104,7 @@ class StabilityBoundary:
 
     When ``bracketed``, ``epsilon_boundary`` is the closed form
     ``epsilon_closed_form``, certified stable at (1 - rel_tol) times it
-    and unstable at (1 + rel_tol) times it; otherwise it is None and
+    and not stable at (1 + rel_tol) times it; otherwise it is None and
     ``note`` says why: the range misses that bracket, or a side of it
     failed its certificate.
     """
@@ -221,10 +211,14 @@ def block_coefficients(params, n):
     return E, G, np.array(k), np.array(mg3)
 
 
+def _doubled(a1, a2, a3):
+    """The phase-space state (a1, a1*, a2, a2*, a3, a3*) of three mean-field amplitudes."""
+    return np.array([a1, np.conj(a1), a2, np.conj(a2), a3, np.conj(a3)], dtype=complex)
+
+
 def residual_norm(params, alpha1, alpha2, alpha3):
     """Largest magnitude among the three fixed-point equations (flow rows a1, a2, a3)."""
-    F = classical_rhs(params, (alpha1, np.conj(alpha1), alpha2, np.conj(alpha2),
-                               alpha3, np.conj(alpha3)))
+    F = classical_rhs(params, _doubled(alpha1, alpha2, alpha3))
     return float(max(abs(F[0]), abs(F[2]), abs(F[4])))
 
 
@@ -276,20 +270,14 @@ def solve_steady_symmetric(params: SystemParams) -> SteadyStateSolution:
         raise ParameterError("a driven cavity needs gamma > 0 and gamma3 > 0 for a steady state")
 
     try:  # eps**2 beyond the largest float, or an infinite companion matrix
-        coeffs = _cubic_coeffs(params.kappa, gamma, gamma3, eps)
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = np.roots(coeffs)
+            roots = np.roots(_cubic_coeffs(params.kappa, gamma, gamma3, eps))
     except (OverflowError, np.linalg.LinAlgError):
         raise SteadyStateError(
             "the steady-state cubic overflows float64: pump or rates too large") from None
     # The complex pair has real part above gamma/kappa > 0 (the roots sum
     # to 2 gamma/kappa), so the physical root has the smallest real part.
     a3 = float(roots[np.argmin(roots.real)].real)
-    c3, c2, c1, c0 = coeffs
-    for _ in range(4):  # Newton polish against the eigenvalue rounding
-        f = ((c3 * a3 + c2) * a3 + c1) * a3 + c0
-        fp = (3 * c3 * a3 + 2 * c2) * a3 + c1
-        a3 -= f / fp
     alpha = eps / (gamma - params.kappa * a3)
     residual = residual_norm(params, alpha, alpha, a3)
     if not residual < _residual_bound(params, alpha, alpha, a3) or not a3 <= 0:
@@ -319,17 +307,9 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     if params.eps1 == 0 and params.eps2 == 0:
         return SteadyStateSolution(0j, 0j, 0j, 0.0, "numeric-general")
 
-    x = np.array(
-        [
-            params.eps1 / g1,
-            np.conj(params.eps1) / g1,
-            params.eps2 / g2,
-            np.conj(params.eps2) / g2,
-            0j,
-            0j,
-        ],
-        dtype=complex,
-    )
+    # conj(eps)/g, not _doubled(eps/g, ...): conj(eps/g) can differ in a signed zero
+    e1, e2 = params.eps1, params.eps2
+    x = np.array([e1 / g1, np.conj(e1) / g1, e2 / g2, np.conj(e2) / g2, 0j, 0j], dtype=complex)
 
     def max_abs(v):
         return float(np.max(np.abs(v)))
@@ -352,31 +332,26 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
             try:
                 step = np.linalg.solve(-A, -F)
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                # backtracking on the residual
-                lam = 1.0
-                accepted = False
-                for _ in range(60):
-                    trial = x + lam * step
-                    trial_F = classical_rhs(params, trial)
-                    trial_res = max_abs(trial_F)
-                    n_iter += 1
-                    if trial_res < res:
-                        x, F, res = trial, trial_F, trial_res
-                        accepted = True
-                        break
-                    lam *= 0.5
-                if accepted and lam * max_abs(step) < 1e-14 * max(1.0, max_abs(x)):
+                step = np.full(6, np.nan)
+            # backtracking on the residual; a step that is not finite tries nothing
+            for lam in 0.5 ** np.arange(60.0 if np.all(np.isfinite(step)) else 0.0):
+                trial = x + lam * step
+                trial_F = classical_rhs(params, trial)
+                trial_res = max_abs(trial_F)
+                n_iter += 1
+                if trial_res < res:
+                    x, F, res = trial, trial_F, trial_res
                     break
-                if accepted:
-                    continue
-            # damped fixed-point fallback: relax toward the explicit updates
-            # x_j + F_j/gamma_j, which solve row j of the flow for its own x_j
-            x = x + 0.1 * F / np.repeat(params.gammas, 2)
-            F = classical_rhs(params, x)
-            res = max_abs(F)
-            n_iter += 1
+            else:
+                # damped fixed-point fallback: relax toward the explicit updates
+                # x_j + F_j/gamma_j, which solve row j of the flow for its own x_j
+                x = x + 0.1 * F / np.repeat(params.gammas, 2)
+                F = classical_rhs(params, x)
+                res = max_abs(F)
+                n_iter += 1
+                continue
+            if lam * max_abs(step) < 1e-14 * max(1.0, max_abs(x)):
+                break
 
     residual = residual_norm(params, x[0], x[2], x[4])
     if not residual < _residual_bound(params, x[0], x[2], x[4]):
@@ -473,8 +448,9 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     """Stability boundary of the symmetric cavity over a loss-ratio grid.
 
     For each gamma3/gamma the boundary is the closed form epsilon_c of
-    ``critical_point``, certified by two stability solves: the margin
-    must be positive at epsilon_c (1 - rel_tol) and negative at
+    ``critical_point``, certified by two stability solves: the point must
+    be ``stable`` (margin above STABILITY_TOL, as ``stability`` and the
+    spectra read it) at epsilon_c (1 - rel_tol) and not stable at
     epsilon_c (1 + rel_tol), so ``rel_tol`` is the certified bracket's
     half-width.  A row whose ``epsilon_range = (lo, hi)`` does not hold
     that bracket, or whose certificate fails, is reported unbracketed
@@ -496,9 +472,10 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
         closed = critical_point(p_of(0.0)).epsilon_c
         below, above = closed * (1 - rel_tol), closed * (1 + rel_tol)
         if eps_lo <= below and above <= eps_hi:
-            m_below, m_above = stability(p_of(below)).margin, stability(p_of(above)).margin
-            note = "" if m_below > 0 > m_above else ("closed form not certified: margin "
-                f"{m_below:.3g} at {below:.9g}, {m_above:.3g} at {above:.9g}")
+            r_below, r_above = stability(p_of(below)), stability(p_of(above))
+            note = "" if r_below.stable and not r_above.stable else (
+                f"closed form not certified: margin {r_below.margin:.3g} at {below:.9g}, "
+                f"{r_above.margin:.3g} at {above:.9g}")
         else:
             note = ("entire range stable" if eps_hi < closed else
                     "entire range unstable" if eps_lo > closed else

@@ -1,6 +1,7 @@
 """Configuration parsing, presets and the command-line interface."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -286,8 +287,10 @@ def test_flags_parse_like_config_keys():
     assert args.dt is None and args.output is None
 
 
-_EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.5522741296682337e+147",
-                     "--kappa", "0.00032551553208383485", "--gamma3", "46.40049509591873"]
+_TW_SMALL = ["--mode", "tw", "--alpha1-0", "10", "--alpha2-0", "10", "--n-traj", "4",
+             "--t-max", "0.01", "--dt", "1e-3", "--sample-stride", "5"]
+_EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.0770316667695102e+144",
+                     "--kappa", "0.0008405059041898818", "--gamma3", "8.963009324484853"]
 
 
 @pytest.mark.parametrize("argv, env, needle", [
@@ -315,6 +318,12 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
     (["spectrum", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
     (["reproduce", "fig4", "--config", "physics.cfg"], {},
      "kappa in physics.cfg, eps1 in physics.cfg"),
+    # a travelling wave has no pump or loss to record beside its data
+    (["simulate", *_TW_SMALL, "--eps1", "5", "--gamma3", "3"], {},
+     "no pump or loss; --gamma3, --eps1 cannot change them"),
+    # a file's zero (what the run uses) or default (what a sidecar renders) passes
+    (["simulate", *_TW_SMALL, "--config", "tw.cfg"], {},
+     "no pump or loss; gamma3 in tw.cfg cannot change them"),
     (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"], {},
      "automatic dt needs a positive loss rate"),
     (["stability-map", "--ratio-min", "2", "--ratio-max", "2"], {}, "ratio_max"),
@@ -346,7 +355,8 @@ _EIGENVALUES_FAIL = ["--eps1", "1.5522741296682337e+147", "--eps2", "1.552274129
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
-        "reproduce-physics-config-key", "undamped-cavity-automatic-dt",
+        "reproduce-physics-config-key", "tw-physics-flag", "tw-physics-config-key",
+        "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
         "output-names-directory-dot", "tw-dt-underflows-steps", "t-max-overflows-steps",
@@ -356,6 +366,7 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
+    (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
     (tmp_path / "sub").mkdir()
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -470,6 +481,58 @@ def test_csv_is_reproducible_from_sidecar_alone(tmp_path):
                 tmp_path)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+def test_reproduce_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypatch):
+    # the sidecar renders every key, the preset's unused physics keys at
+    # their defaults, which a replay accepts
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["reproduce", "fig4", "--output", "first"]) == 0
+    meta = json.loads((tmp_path / "first.json").read_text())
+    (tmp_path / "replay.cfg").write_text(meta["config"])
+    assert cli.main(["reproduce", "fig4", "--config", "replay.cfg", "--output", "second"]) == 0
+    assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["steady", "--eps1", "200", "--eps2", "200"], ["o.csv", "o.json"]),
+    (["stability-map", "--n-ratio", "3"], ["o.csv", "o.json"]),
+    (["spectrum", "--eps1", "200", "--eps2", "200", "--n-omega", "5"], ["o.csv", "o.json"]),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--threads", "1"], ["o.csv", "o.json"]),
+    (["reproduce", "fig4", "fig5", "--plot-script"],
+     [f"o_{fig}{end}" for fig in ("fig4", "fig5") for end in (".csv", ".json", "_plot.py")]),
+], ids=["steady", "stability-map", "spectrum", "simulate", "reproduce"])
+def test_closed_stdout_ends_the_output_not_the_run(argv, written, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert cli.main([*argv, "--output", "o"]) == cli.EXIT_OK
+    assert sys.stderr.getvalue() == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(written)
+
+
+def test_closed_stdout_pipe_exits_zero_without_a_message(tmp_path):
+    # the pipe's reader is gone before the command starts; a buffered
+    # stdout keeps what it could not write and flushes it again at exit,
+    # which must not fail either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "sfgsim.cli", "stability-map", "--n-ratio",
+                           "3", "--output", "o"], cwd=tmp_path, env=env, stdout=write_end,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        os.close(write_end)
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == ""
+    assert sorted(os.listdir(tmp_path)) == ["o.csv", "o.json"]
 
 
 def test_cli_reproduce_spectral_preset(tmp_path):

@@ -160,6 +160,19 @@ def test_stability_map_reports_a_failed_certificate(monkeypatch):
     assert row.note.startswith("closed form not certified: margin ")
 
 
+@pytest.mark.parametrize("ratio", [1.0, 5.0])
+def test_stability_map_certifies_what_stability_calls_stable(ratio):
+    # at gamma 1e-4 the margin at epsilon_c (1 - 1e-6) is 1e-10, positive but
+    # under STABILITY_TOL: stability() reads that point as not stable, so the
+    # map cannot certify the closed form there
+    row, = sf.stability_map(0.01, 1e-4, [ratio], (0.0, 1.0))
+    eps = row.epsilon_closed_form * (1 - 1e-6)
+    report = sf.stability(sf.SystemParams.symmetric(0.01, 1e-4, ratio * 1e-4, eps))
+    assert 0 < report.margin <= sf.spectra.STABILITY_TOL and not report.stable
+    assert not row.bracketed and row.epsilon_boundary is None
+    assert row.note.startswith("closed form not certified: margin 1e-10 at ")
+
+
 @pytest.mark.parametrize("eps_range, note", [
     ((0.0, 400.0), "range ends inside the certified bracket"),
     ((400.0, 500.0), "range ends inside the certified bracket"),

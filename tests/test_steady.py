@@ -324,7 +324,7 @@ def test_general_solver_backtracks_a_newton_step_that_raises_the_residual(monkey
 @pytest.mark.parametrize("figure", ["fig4", "fig5", "fig6", "fig7", "fig8"])
 def test_general_solver_is_converged_at_figure_pumps(figure):
     # a stop no earlier than rounding: further Newton steps and, for
-    # symmetric driving, the polished closed-form root agree to 1e-12
+    # symmetric driving, the closed-form root agree to 1e-12
     for run in presets.PRESETS[figure].parameters.values():
         p = sf.SystemParams(**run)
         ss = sf.solve_steady_general(p)
@@ -373,16 +373,22 @@ def test_internal_inconsistency_error_carries_candidates():
 
 
 def test_symmetric_root_matches_brentq_oracle():
-    # drives from far below to far above critical; above critical the
-    # point is unstable but still the unique physical fixed point
+    # drives from far below to far above critical, within 1e-9 of it on
+    # both sides, and pumps near 1e7; above critical the point is unstable
+    # but still the unique physical fixed point
     rng = np.random.default_rng(7)
     for _ in range(300):
         kappa = 10 ** rng.uniform(-4, 0)
         gamma = 10 ** rng.uniform(-2, 2)
         gamma3 = 10 ** rng.uniform(-2, 2)
         eps_c = 2 * gamma * np.sqrt(gamma * gamma3) / kappa
-        eps = eps_c * 10 ** rng.uniform(-6, 2)
-        ss = sf.solve_steady_symmetric(sf.SystemParams.symmetric(kappa, gamma, gamma3, eps))
-        a3 = oracles.symmetric_root_brentq(kappa, gamma, gamma3, eps)
-        assert ss.alpha3.real == pytest.approx(a3, rel=1e-13, abs=0)
-        assert ss.alpha1.real == pytest.approx(eps / (gamma - kappa * a3), rel=1e-13, abs=0)
+        drives = (eps_c * 10 ** rng.uniform(-6, 2), eps_c * 10 ** rng.uniform(-9, -6),
+                  eps_c * (1 - 1e-9), eps_c * (1 + 1e-9), 10 ** rng.uniform(6.5, 7))
+        for eps in drives:
+            ss = sf.solve_steady_symmetric(sf.SystemParams.symmetric(kappa, gamma, gamma3, eps))
+            a3 = oracles.symmetric_root_brentq(kappa, gamma, gamma3, eps)
+            assert ss.alpha3.real == pytest.approx(a3, rel=1e-13, abs=0)
+            assert ss.alpha1.real == pytest.approx(eps / (gamma - kappa * a3), rel=1e-13, abs=0)
+            # the companion root itself, with no further step
+            root = min(ss.candidates, key=lambda z: z.real)
+            assert ss.alpha3 == complex(root.real) and ss.alpha3.imag == 0
