@@ -10,10 +10,12 @@ does in a configuration file, and flags override values read with
 Every data-producing command writes CSV files (full round-trip precision,
 deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
-any CSV can be regenerated from its sidecar alone.  A physics key a run
-does not use (each of them for ``reproduce``, the pumps and losses for a
-travelling wave) is refused as a flag, and as a file key unless it holds
-its default or, for a travelling wave, zero.  A command writes its files
+any CSV can be regenerated from its sidecar alone.  A key a run does not
+use is refused as a flag, and as a file key unless it holds its default
+or, for a travelling wave, zero: every physics key for ``reproduce``, and
+``n_traj`` and ``seed`` too when no figure given runs an ensemble (fig4
+to fig7 alone); ``gamma3``, ``eps1`` and ``eps2`` for ``stability-map``;
+the pumps and losses for a travelling wave.  A command writes its files
 before it prints, and a stdout closed early (``| head``) ends the
 printing, not the run: exit 0, no message.
 
@@ -124,17 +126,23 @@ def _merge_config(args):
     # a key the run never reads would be recorded in the sidecar beside data
     # not computed with it: such a flag is refused, and such a file key unless
     # it holds RunConfig's default, as every sidecar renders it, or the zero
-    # a travelling-wave run uses
-    unused, why, kept = (), "", ()
+    # a travelling-wave run uses; one (keys, reason, kept values) per rule
+    rules = []
     if args.command == "reproduce":
-        unused, why = _PHYSICS_KEYS, "reproduce runs the preset's own parameters"
+        rules.append((_PHYSICS_KEYS, "reproduce runs the preset's own parameters", ()))
+        if all(presetsmod.PRESETS[fig].default_n_traj is None for fig in args.figure):
+            rules.append((("n_traj", "seed"),
+                          f"reproduce {' '.join(args.figure)} runs no ensemble", ()))
+    elif args.command == "stability-map":
+        rules.append((("gamma3", "eps1", "eps2"), "stability-map sweeps gamma3 with no pump", ()))
     elif args.command == "simulate" and merged.get("mode") in ("tw", "travelling-wave"):
-        unused, why, kept = _PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)
-    ignored = (["--" + key for key in unused if key in flags]
-               + [f"{key} in {args.config}" for key in unused if key in values
-                  and values[key] not in (getattr(cfgmod.RunConfig, key), *kept)])
-    if ignored:
-        raise ConfigError(f"{why}; {', '.join(ignored)} cannot change them")
+        rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
+    for unused, why, kept in rules:
+        ignored = (["--" + key.replace("_", "-") for key in unused if key in flags]
+                   + [f"{key} in {args.config}" for key in unused if key in values
+                      and values[key] not in (getattr(cfgmod.RunConfig, key), *kept)])
+        if ignored:
+            raise ConfigError(f"{why}; {', '.join(ignored)} cannot change them")
     if args.command == "reproduce":
         repeated = sorted({fig for fig in args.figure if args.figure.count(fig) > 1})
         if repeated:

@@ -9,6 +9,7 @@ and parsing round-trip exactly.
 """
 
 import cmath
+import operator
 import typing
 from dataclasses import dataclass, fields
 
@@ -20,6 +21,12 @@ from .spectra import N_OMEGA, default_omegas
 COMMANDS = ("steady", "stability-map", "spectrum", "simulate", "reproduce")
 MODES = ("cavity", "travelling-wave", "tw")
 FIGURES = tuple(f"fig{i}" for i in range(1, 9))
+
+# key -> (comparison, bound) that the key's value, when set, must meet
+_BOUNDS = {"kappa": (">", 0), "gamma1": (">=", 0), "gamma2": (">=", 0), "gamma3": (">=", 0),
+           "dt": (">", 0), "t_max": (">", 0), "sample_stride": (">=", 1), "n_traj": (">=", 2),
+           "n_omega": (">=", 2), "n_ratio": (">=", 1), "eps_max": (">", 0), "threads": (">=", 1)}
+_COMPARISONS = {">": operator.gt, ">=": operator.ge}
 
 
 @dataclass
@@ -80,39 +87,20 @@ class RunConfig:
             if kind is str and val is not None and (
                     line.splitlines() != [line] or config_values(line) != {name: val}):
                 raise ConfigError(f"{name} {val!r} does not read back as itself from config text")
-        if not self.kappa > 0:
-            raise ConfigError(f"invariant violated: kappa > 0 (got {self.kappa})")
-        for name in ("gamma1", "gamma2", "gamma3"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"invariant violated: {name} >= 0 (got {getattr(self, name)})")
+        for name, (op, bound) in _BOUNDS.items():
+            val = getattr(self, name)
+            if val is not None and not _COMPARISONS[op](val, bound):
+                raise ConfigError(f"invariant violated: {name} {op} {bound} (got {val!r})")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError(f"invariant violated: dt > 0 (got {self.dt})")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ConfigError(f"invariant violated: t_max > 0 (got {self.t_max})")
-        if self.sample_stride < 1:
-            raise ConfigError("invariant violated: sample_stride >= 1")
-        if self.n_traj is not None and self.n_traj < 2:
-            raise ConfigError("invariant violated: n_traj >= 2")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError("invariant violated: seed must fit in 64 bits")
-        if self.n_omega < 2:
-            raise ConfigError("invariant violated: n_omega >= 2")
         if not 0 < self.ratio_min <= self.ratio_max or (
                 self.ratio_min == self.ratio_max and self.n_ratio != 1):
             raise ConfigError("invariant violated: 0 < ratio_min < ratio_max "
                               "(ratio_max == ratio_min only with n_ratio 1)")
-        if self.n_ratio < 1:
-            raise ConfigError("invariant violated: n_ratio >= 1")
-        if self.eps_max is not None and not self.eps_max > 0:
-            raise ConfigError("invariant violated: eps_max > 0")
         if self.reproduce is not None and self.reproduce not in FIGURES:
-            raise ConfigError(
-                f"reproduce must be one of {FIGURES}, got {self.reproduce!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("invariant violated: threads >= 1")
+            raise ConfigError(f"reproduce must be one of {FIGURES}, got {self.reproduce!r}")
         return self
 
     @property

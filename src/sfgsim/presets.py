@@ -101,7 +101,7 @@ def _tw_analyses(key, threads):
     """Every fig1-fig3 analysis of one ensemble."""
     table = travelling_wave_ensemble(*key, threads)
     results = {}
-    for name, analyse in _TW_ANALYSES.items():
+    for name, (_, analyse) in _TW_ANALYSES.items():
         try:
             results[name] = analyse(table)
         except Exception as exc:
@@ -134,6 +134,11 @@ def _sig(values, se, bound):
     return float(((bound - values[good]) / se[good]).max())
 
 
+def _z_check(name, z, what, where=""):
+    """The check that ``what`` holds by more than 3 SE, ``z`` being its margin in SE."""
+    return Check(name, z > 3.0, f"{what} by {z:.1f} SE{where} (need > 3)")
+
+
 def _run_fig1(table):
     inten, se = table.intensities()
     t = table.times
@@ -147,10 +152,8 @@ def _run_fig1(table):
         val, vse = table.batch_statistic(
             lambda v, i=i, op=op, j=j: np.real(op(v.apa[:, i, i], v.apa[:, j, j])))
         dev = np.abs(val[early] - val[0]) / np.where(vse[early] > 0, vse[early], np.inf)
-        checks.append(Check(
-            f"conserved n{i + 1}{sign}n{j + 1}", bool(np.max(dev) <= 3.0),
-            f"max deviation {np.max(dev):.2f} SE (limit 3)",
-        ))
+        checks.append(Check(f"conserved n{i + 1}{sign}n{j + 1}", bool(np.max(dev) <= 3.0),
+                            f"max deviation {np.max(dev):.2f} SE (limit 3)"))
 
     n3 = inten[:, 2]
     total0 = inten[0, 0] + inten[0, 1]
@@ -158,14 +161,10 @@ def _run_fig1(table):
     peak_ok = n3[pk] >= 0.8 * total0 / 2
     tail_min = n3[pk:].min()
     decline = (n3[pk] - tail_min) / n3[pk]
-    checks.append(Check(
-        "near-complete conversion", bool(peak_ok),
-        f"peak n3 = {n3[pk]:.3g} vs 0.8*(n1+n2)(0)/2 = {0.4 * total0:.3g}",
-    ))
-    checks.append(Check(
-        "partial reconversion", bool(decline >= 0.10),
-        f"decline from peak {100 * decline:.1f}% (need >= 10%)",
-    ))
+    checks += [Check("near-complete conversion", bool(peak_ok),
+                     f"peak n3 = {n3[pk]:.3g} vs 0.8*(n1+n2)(0)/2 = {0.4 * total0:.3g}"),
+               Check("partial reconversion", bool(decline >= 0.10),
+                     f"decline from peak {100 * decline:.1f}% (need >= 10%)")]
 
     return PresetResult(
         axis_unit="dimensionless", columns={"zeta": t, **cols},
@@ -183,14 +182,13 @@ def _run_fig2(table):
     pk = int(inten[:, 2].argmax())
 
     before = slice(1, pk)
-    z_v = _sig(vx3.values[before], vx3.se[before], 1.0)
     early = (t > 0) & (t <= 2.0)
-    z_f = _sig(fano12.values[early], fano12.se[early], 1.0)
     checks = [
-        Check("sum-frequency quadrature squeezed", z_v > 3.0,
-              f"V(X3) below 1 by {z_v:.1f} SE before peak conversion (need > 3)"),
-        Check("sub-Poissonian intensity sum", z_f > 3.0,
-              f"Fano below 1 by {z_f:.1f} SE at early times (need > 3)"),
+        _z_check("sum-frequency quadrature squeezed",
+                 _sig(vx3.values[before], vx3.se[before], 1.0),
+                 "V(X3) below 1", " before peak conversion"),
+        _z_check("sub-Poissonian intensity sum", _sig(fano12.values[early], fano12.se[early], 1.0),
+                 "Fano below 1", " at early times"),
     ]
     return PresetResult(
         axis_unit="dimensionless",
@@ -208,13 +206,11 @@ def _run_fig3(table):
     epr12 = corr.epr_product(table, 1, 2)
     epr21 = corr.epr_product(table, 2, 1)
 
-    z_ds = _sig(ds.values[1:], ds.se[1:], 4.0)
-    z_epr = _sig(epr12.values[1:], epr12.se[1:], 1.0)
     checks = [
-        Check("joint-quadrature entanglement", z_ds > 3.0,
-              f"V(X1+X2)+V(Y1-Y2) below 4 by {z_ds:.1f} SE (need > 3)"),
-        Check("inferred-variance paradox", z_epr > 3.0,
-              f"EPR product below 1 by {z_epr:.1f} SE (need > 3)"),
+        _z_check("joint-quadrature entanglement", _sig(ds.values[1:], ds.se[1:], 4.0),
+                 "V(X1+X2)+V(Y1-Y2) below 4"),
+        _z_check("inferred-variance paradox", _sig(epr12.values[1:], epr12.se[1:], 1.0),
+                 "EPR product below 1"),
     ]
     return PresetResult(
         axis_unit="dimensionless",
@@ -246,19 +242,13 @@ def _spectral_family(column, series, threshold, strongest_only=False):
             cols[f"{column}_eps{eps}"] = values
             minima[eps] = float(values.min())
 
-        checks = []
-        for eps in list(minima)[-1:] if strongest_only else minima:
-            checks.append(Check(
-                f"below threshold at eps={eps}",
-                minima[eps] < threshold,
-                f"min {minima[eps]:.4f} vs {threshold}",
-            ))
+        checks = [Check(f"below threshold at eps={eps}", minima[eps] < threshold,
+                        f"min {minima[eps]:.4f} vs {threshold}")
+                  for eps in (list(minima)[-1:] if strongest_only else minima)]
         depths = list(minima.values())
         mono = all(a > b for a, b in zip(depths, depths[1:]))
-        checks.append(Check(
-            "deepens with drive", bool(mono),
-            "minima " + " > ".join(f"{m:.4f}" for m in depths),
-        ))
+        checks.append(Check("deepens with drive", bool(mono),
+                            "minima " + " > ".join(f"{m:.4f}" for m in depths)))
         return PresetResult(
             axis_unit="units of gamma1", columns=cols,
             metadata={"minima": {str(k): v for k, v in minima.items()}},
@@ -302,13 +292,11 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     inten, se = table.intensities()
     sc_n = np.real(sc[:, 1::2] * sc[:, 0::2])
     last = -1
-    z1 = (inten[last, 0] - fp[0]) / se[last, 0]
-    z3 = (fp[2] - inten[last, 2]) / se[last, 2]
     checks = [
-        Check("low-frequency mean exceeds semiclassical point", z1 > 3.0,
-              f"n1 above fixed point by {z1:.1f} SE (need > 3)"),
-        Check("sum-frequency mean falls below semiclassical point", z3 > 3.0,
-              f"n3 below fixed point by {z3:.1f} SE (need > 3)"),
+        _z_check("low-frequency mean exceeds semiclassical point",
+                 (inten[last, 0] - fp[0]) / se[last, 0], "n1 above fixed point"),
+        _z_check("sum-frequency mean falls below semiclassical point",
+                 (fp[2] - inten[last, 2]) / se[last, 2], "n3 below fixed point"),
     ]
     cols = {"t": table.times, **intensity_columns(inten, se),
             **{f"semiclassical_n{j + 1}": sc_n[:, j] for j in range(3)}}
@@ -320,7 +308,12 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     )
 
 
-_TW_ANALYSES = {"fig1": _run_fig1, "fig2": _run_fig2, "fig3": _run_fig3}
+# fig1-fig3: name -> (description, analysis of the shared ensemble)
+_TW_ANALYSES = {
+    "fig1": ("travelling-wave mean intensities: conversion and quantum reconversion", _run_fig1),
+    "fig2": ("travelling-wave squeezing of X3 and Fano factor of the intensity sum", _run_fig2),
+    "fig3": ("travelling-wave joint-quadrature and inferred-variance entanglement", _run_fig3),
+}
 _TW_PARAMS = {"kappa": TW_KAPPA, "alpha1_0": TW_ALPHA0, "alpha2_0": TW_ALPHA0,
               "alpha3_0": 0.0}
 _SYM_SPEC_PARAMS = {
@@ -329,46 +322,22 @@ _SYM_SPEC_PARAMS = {
     for e in SPECTRUM_EPS
 }
 
-PRESETS = {
-    "fig1": FigurePreset(
-        "fig1",
-        "travelling-wave mean intensities: conversion and quantum reconversion",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
-    ),
-    "fig2": FigurePreset(
-        "fig2",
-        "travelling-wave squeezing of X3 and Fano factor of the intensity sum",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
-    ),
-    "fig3": FigurePreset(
-        "fig3",
-        "travelling-wave joint-quadrature and inferred-variance entanglement",
-        {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw,
-    ),
-    "fig4": FigurePreset(
-        "fig4", "output squeezing spectra of X3 versus drive strength",
-        _SYM_SPEC_PARAMS, None, _spectral_family("vx3", lambda res: res.variance(3, "X"), 1.0),
-    ),
-    "fig5": FigurePreset(
-        "fig5", "joint-quadrature entanglement spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None, _spectral_family("duan_simon", spectra.spectral_duan_simon, 4.0),
-    ),
-    "fig6": FigurePreset(
-        "fig6", "inferred-variance product spectra versus drive strength",
-        _SYM_SPEC_PARAMS, None,
-        _spectral_family("epr", lambda res: spectra.spectral_epr(res, 1, 2), 1.0,
-                         strongest_only=True),
-    ),
-    "fig7": FigurePreset(
-        "fig7", "steering asymmetry with unequal losses and pumps",
-        {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 40.0, "gamma3": 2.0,
-                 "eps1": 400.0, "eps2": 2400.0}},
-        None, _run_fig7,
-    ),
-    "fig8": FigurePreset(
-        "fig8", "above-threshold cavity dynamics versus the semiclassical prediction",
-        {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 10.0,
-                 "eps1": 1000.0, "eps2": 1000.0}},
-        CAVITY_N_TRAJ, _run_fig8,
-    ),
-}
+PRESETS = {p.name: p for p in [
+    *(FigurePreset(name, description, {"run": _TW_PARAMS}, TW_N_TRAJ, _run_tw)
+      for name, (description, _) in _TW_ANALYSES.items()),
+    FigurePreset("fig4", "output squeezing spectra of X3 versus drive strength", _SYM_SPEC_PARAMS,
+                 None, _spectral_family("vx3", lambda res: res.variance(3, "X"), 1.0)),
+    FigurePreset("fig5", "joint-quadrature entanglement spectra versus drive strength",
+                 _SYM_SPEC_PARAMS, None,
+                 _spectral_family("duan_simon", spectra.spectral_duan_simon, 4.0)),
+    FigurePreset("fig6", "inferred-variance product spectra versus drive strength",
+                 _SYM_SPEC_PARAMS, None,
+                 _spectral_family("epr", lambda res: spectra.spectral_epr(res, 1, 2), 1.0,
+                                  strongest_only=True)),
+    FigurePreset("fig7", "steering asymmetry with unequal losses and pumps",
+                 {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 40.0, "gamma3": 2.0,
+                          "eps1": 400.0, "eps2": 2400.0}}, None, _run_fig7),
+    FigurePreset("fig8", "above-threshold cavity dynamics versus the semiclassical prediction",
+                 {"run": {"kappa": 0.01, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 10.0,
+                          "eps1": 1000.0, "eps2": 1000.0}}, CAVITY_N_TRAJ, _run_fig8),
+]}

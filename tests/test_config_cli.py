@@ -21,6 +21,7 @@ from sfgsim.config import (
     FIGURES,
     MODES,
     RunConfig,
+    _BOUNDS,
     _render_value,
     omega_grid,
     parse_config,
@@ -63,33 +64,58 @@ def test_invariant_violation_names_the_invariant():
     assert parse_config("ratio_min=2\nratio_max=2\nn_ratio=1\n").n_ratio == 1
 
 
+def _bound(key, value):
+    return lambda: RunConfig(**{key: value}).validate()
+
+
 @pytest.mark.parametrize("check, needle", [
     (lambda: RunConfig(command="plot").validate(), "command must be one of"),
-    (lambda: RunConfig(gamma1=-1.0).validate(), "gamma1 >= 0"),
-    (lambda: RunConfig(gamma2=-1.0).validate(), "gamma2 >= 0"),
-    (lambda: RunConfig(gamma3=-1.0).validate(), "gamma3 >= 0"),
+    (_bound("gamma1", -1.0), "invariant violated: gamma1 >= 0 (got -1.0)"),
+    (_bound("gamma2", -1.0), "invariant violated: gamma2 >= 0 (got -1.0)"),
+    (_bound("gamma3", -1.0), "invariant violated: gamma3 >= 0 (got -1.0)"),
     (lambda: RunConfig(mode="ring").validate(), "mode must be one of"),
-    (lambda: RunConfig(dt=0.0).validate(), "dt > 0"),
-    (lambda: RunConfig(t_max=-1.0).validate(), "t_max > 0"),
-    (lambda: RunConfig(sample_stride=0).validate(), "sample_stride >= 1"),
-    (lambda: RunConfig(n_traj=1).validate(), "n_traj >= 2"),
+    (_bound("dt", 0.0), "invariant violated: dt > 0 (got 0.0)"),
+    (_bound("t_max", -1.0), "invariant violated: t_max > 0 (got -1.0)"),
+    (_bound("sample_stride", 0), "invariant violated: sample_stride >= 1 (got 0)"),
+    (_bound("n_traj", 1), "invariant violated: n_traj >= 2 (got 1)"),
     (lambda: RunConfig(seed=-1).validate(), "seed must fit in 64 bits"),
     (lambda: RunConfig(seed=2**64).validate(), "seed must fit in 64 bits"),
-    (lambda: RunConfig(n_omega=1).validate(), "n_omega >= 2"),
-    (lambda: RunConfig(n_ratio=0).validate(), "n_ratio >= 1"),
-    (lambda: RunConfig(eps_max=0.0).validate(), "eps_max > 0"),
-    (lambda: RunConfig(threads=0).validate(), "threads >= 1"),
+    (_bound("n_omega", 1), "invariant violated: n_omega >= 2 (got 1)"),
+    (_bound("n_ratio", 0), "invariant violated: n_ratio >= 1 (got 0)"),
+    (_bound("eps_max", 0.0), "invariant violated: eps_max > 0 (got 0.0)"),
+    (_bound("threads", 0), "invariant violated: threads >= 1 (got 0)"),
     (lambda: parse_config("kappa=0.01\ngamma1 1\n"), "line 2: expected key=value"),
     (lambda: omega_grid(RunConfig(omega_min=2.0, omega_max=1.0)),
      "omega_min must be below omega_max"),
     (lambda: omega_grid(RunConfig(omega_min=1.0, omega_max=1.0)),
      "omega_min must be below omega_max"),
+    # each bound just past its edge: zero where it is strict, the largest
+    # value below it where it is inclusive
+    (_bound("kappa", 0.0), "invariant violated: kappa > 0 (got 0.0)"),
+    (_bound("gamma1", -5e-324), "invariant violated: gamma1 >= 0 (got -5e-324)"),
+    (_bound("gamma2", -5e-324), "invariant violated: gamma2 >= 0 (got -5e-324)"),
+    (_bound("gamma3", -5e-324), "invariant violated: gamma3 >= 0 (got -5e-324)"),
+    (_bound("t_max", 0.0), "invariant violated: t_max > 0 (got 0.0)"),
 ], ids=["command", "gamma1", "gamma2", "gamma3", "mode", "dt", "t-max", "sample-stride",
         "n-traj", "negative-seed", "seed-past-64-bits", "n-omega", "n-ratio", "eps-max",
-        "threads", "line-without-equals", "omega-bounds-reversed", "omega-bounds-equal"])
+        "threads", "line-without-equals", "omega-bounds-reversed", "omega-bounds-equal",
+        "kappa-zero", "gamma1-below-zero", "gamma2-below-zero", "gamma3-below-zero",
+        "t-max-zero"])
 def test_config_input_checks_name_their_invariant(check, needle):
     with pytest.raises(ConfigError, match=re.escape(needle)):
         check()
+
+
+# the value at each bound's edge that passes: the bound itself where it is
+# inclusive, the smallest positive float where it is strict
+_AT_BOUNDS = {"kappa": 5e-324, "gamma1": 0.0, "gamma2": 0.0, "gamma3": 0.0, "dt": 5e-324,
+              "t_max": 5e-324, "sample_stride": 1, "n_traj": 2, "n_omega": 2, "n_ratio": 1,
+              "eps_max": 5e-324, "threads": 1}
+
+
+@pytest.mark.parametrize("key", sorted(_BOUNDS))
+def test_config_accepts_each_bound_at_its_edge(key):
+    assert getattr(RunConfig(**{key: _AT_BOUNDS[key]}).validate(), key) == _AT_BOUNDS[key]
 
 
 def test_reproduce_key():
@@ -318,6 +344,18 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
     (["spectrum", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
     (["reproduce", "fig4", "--config", "physics.cfg"], {},
      "kappa in physics.cfg, eps1 in physics.cfg"),
+    # fig4-fig7 run no ensemble to take a trajectory count or seed; a file's
+    # default (auto) passes
+    (["reproduce", "fig4", "fig5", "--n-traj", "5", "--seed", "3"], {},
+     "reproduce fig4 fig5 runs no ensemble; --n-traj, --seed cannot change them"),
+    (["reproduce", "fig6", "--config", "ensemble.cfg"], {},
+     "reproduce fig6 runs no ensemble; seed in ensemble.cfg cannot change them"),
+    # the map sweeps gamma3 at every drive: no pump or gamma3 of its own
+    (["stability-map", "--n-ratio", "2", "--eps1", "100", "--gamma3", "7"], {},
+     "stability-map sweeps gamma3 with no pump; --gamma3, --eps1 cannot change them"),
+    (["stability-map", "--n-ratio", "2", "--config", "map.cfg"], {},
+     "stability-map sweeps gamma3 with no pump; gamma3 in map.cfg, eps2 in map.cfg "
+     "cannot change them"),
     # a travelling wave has no pump or loss to record beside its data
     (["simulate", *_TW_SMALL, "--eps1", "5", "--gamma3", "3"], {},
      "no pump or loss; --gamma3, --eps1 cannot change them"),
@@ -355,7 +393,9 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
-        "reproduce-physics-config-key", "tw-physics-flag", "tw-physics-config-key",
+        "reproduce-physics-config-key", "reproduce-ensemble-flag",
+        "reproduce-ensemble-config-key", "stability-map-physics-flag",
+        "stability-map-physics-config-key", "tw-physics-flag", "tw-physics-config-key",
         "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
@@ -367,6 +407,8 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
     (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
+    (tmp_path / "ensemble.cfg").write_text("n_traj = auto\nseed = 3\n")
+    (tmp_path / "map.cfg").write_text("gamma3 = 7\neps1 = 0\neps2 = 5\n")
     (tmp_path / "sub").mkdir()
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -492,6 +534,23 @@ def test_reproduce_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypatch)
     (tmp_path / "replay.cfg").write_text(meta["config"])
     assert cli.main(["reproduce", "fig4", "--config", "replay.cfg", "--output", "second"]) == 0
     assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+def test_stability_map_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypatch):
+    # the sidecar renders gamma3 and the pumps at their defaults, which a
+    # replay accepts
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["stability-map", "--n-ratio", "3", "--kappa", "0.02",
+                     "--output", "first"]) == 0
+    meta = json.loads((tmp_path / "first.json").read_text())
+    (tmp_path / "replay.cfg").write_text(meta["config"])
+    assert cli.main(["stability-map", "--config", "replay.cfg", "--output", "second"]) == 0
+    assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+def test_reproduce_takes_a_trajectory_count_when_any_figure_runs_an_ensemble():
+    args = cli.build_parser().parse_args(["reproduce", "fig8", "fig4", "--n-traj", "64"])
+    assert cli._merge_config(args).n_traj == 64
 
 
 class _ClosedStdout(io.StringIO):

@@ -13,8 +13,102 @@ from sfgsim.errors import CorrelationError, ParameterError
 # the errors fig2 and fig3 raise on their own at 64 trajectories, seed 3
 FIG2_ERROR = ("V(X3(theta=0)): imaginary residue 7.623e+01 exceeds tolerance; "
               "moment table is inconsistent")
+
+# (name, passed, detail) of every check, as each figure reports them: fig1-fig3
+# at 192 trajectories, seed 3; fig4-fig7 at their own parameters
+PINNED_CHECKS = {
+    "fig1": [
+        ("conserved n1+n3", True, "max deviation 1.85 SE (limit 3)"),
+        ("conserved n2+n3", True, "max deviation 1.85 SE (limit 3)"),
+        ("conserved n1-n2", True, "max deviation 1.85 SE (limit 3)"),
+        ("near-complete conversion", True, "peak n3 = 4.99e+05 vs 0.8*(n1+n2)(0)/2 = 4e+05"),
+        ("partial reconversion", True, "decline from peak 46.7% (need >= 10%)"),
+    ],
+    "fig2": [
+        ("sum-frequency quadrature squeezed", True,
+         "V(X3) below 1 by 15.8 SE before peak conversion (need > 3)"),
+        ("sub-Poissonian intensity sum", True,
+         "Fano below 1 by 17.6 SE at early times (need > 3)"),
+    ],
+    "fig3": [
+        ("joint-quadrature entanglement", True,
+         "V(X1+X2)+V(Y1-Y2) below 4 by 23.5 SE (need > 3)"),
+        ("inferred-variance paradox", True, "EPR product below 1 by 6.9 SE (need > 3)"),
+    ],
+    "fig4": [
+        ("below threshold at eps=200", True, "min 0.8336 vs 1.0"),
+        ("below threshold at eps=400", True, "min 0.6265 vs 1.0"),
+        ("below threshold at eps=600", True, "min 0.5133 vs 1.0"),
+        ("deepens with drive", True, "minima 0.8336 > 0.6265 > 0.5133"),
+    ],
+    "fig5": [
+        ("below threshold at eps=200", True, "min 2.0524 vs 4.0"),
+        ("below threshold at eps=400", True, "min 1.5062 vs 4.0"),
+        ("below threshold at eps=600", True, "min 1.4882 vs 4.0"),
+        ("deepens with drive", True, "minima 2.0524 > 1.5062 > 1.4882"),
+    ],
+    "fig6": [
+        ("below threshold at eps=600", True, "min 0.0021 vs 1.0"),
+        ("deepens with drive", True, "minima 0.6326 > 0.1486 > 0.0021"),
+    ],
+    "fig7": [
+        ("mode 2 steers mode 1", True, "min EPR12 = 0.8273 (need < 1)"),
+        ("mode 1 cannot steer mode 2", False, "min EPR21 = 0.8243 (need >= 1)"),
+    ],
+}
+
+
+def check_lines(result):
+    return [(c.name, c.passed, c.detail) for c in result.checks]
 FIG3_ERROR = ("V(X1+X2)+V(Y1-Y2): imaginary residue 1.625e+00 exceeds tolerance; "
               "moment table is inconsistent")
+
+# (name, passed, detail) of every check, as each figure reports them: fig1-fig3
+# at 192 trajectories, seed 3; fig4-fig7 at their own parameters
+PINNED_CHECKS = {
+    "fig1": [
+        ("conserved n1+n3", True, "max deviation 1.85 SE (limit 3)"),
+        ("conserved n2+n3", True, "max deviation 1.85 SE (limit 3)"),
+        ("conserved n1-n2", True, "max deviation 1.85 SE (limit 3)"),
+        ("near-complete conversion", True, "peak n3 = 4.99e+05 vs 0.8*(n1+n2)(0)/2 = 4e+05"),
+        ("partial reconversion", True, "decline from peak 46.7% (need >= 10%)"),
+    ],
+    "fig2": [
+        ("sum-frequency quadrature squeezed", True,
+         "V(X3) below 1 by 15.8 SE before peak conversion (need > 3)"),
+        ("sub-Poissonian intensity sum", True,
+         "Fano below 1 by 17.6 SE at early times (need > 3)"),
+    ],
+    "fig3": [
+        ("joint-quadrature entanglement", True,
+         "V(X1+X2)+V(Y1-Y2) below 4 by 23.5 SE (need > 3)"),
+        ("inferred-variance paradox", True, "EPR product below 1 by 6.9 SE (need > 3)"),
+    ],
+    "fig4": [
+        ("below threshold at eps=200", True, "min 0.8336 vs 1.0"),
+        ("below threshold at eps=400", True, "min 0.6265 vs 1.0"),
+        ("below threshold at eps=600", True, "min 0.5133 vs 1.0"),
+        ("deepens with drive", True, "minima 0.8336 > 0.6265 > 0.5133"),
+    ],
+    "fig5": [
+        ("below threshold at eps=200", True, "min 2.0524 vs 4.0"),
+        ("below threshold at eps=400", True, "min 1.5062 vs 4.0"),
+        ("below threshold at eps=600", True, "min 1.4882 vs 4.0"),
+        ("deepens with drive", True, "minima 2.0524 > 1.5062 > 1.4882"),
+    ],
+    "fig6": [
+        ("below threshold at eps=600", True, "min 0.0021 vs 1.0"),
+        ("deepens with drive", True, "minima 0.6326 > 0.1486 > 0.0021"),
+    ],
+    "fig7": [
+        ("mode 2 steers mode 1", True, "min EPR12 = 0.8273 (need < 1)"),
+        ("mode 1 cannot steer mode 2", False, "min EPR21 = 0.8243 (need >= 1)"),
+    ],
+}
+
+
+def check_lines(result):
+    return [(c.name, c.passed, c.detail) for c in result.checks]
 
 
 @pytest.fixture
@@ -60,9 +154,11 @@ def test_one_ensemble_per_key_each_result_handed_out_once(tables):
 
 
 def test_shared_results_equal_fresh_runs(tables):
-    run("fig1", n_traj=192)
+    assert check_lines(run("fig1", n_traj=192)) == PINNED_CHECKS["fig1"]
     shared = {fig: run(fig, n_traj=192) for fig in ("fig2", "fig3")}
     assert len(tables) == 1
+    for fig, result in shared.items():
+        assert check_lines(result) == PINNED_CHECKS[fig], fig
     for fig, result in shared.items():
         presets._PENDING.clear()
         fresh = run(fig, n_traj=192, seed=3)
@@ -71,6 +167,11 @@ def test_shared_results_equal_fresh_runs(tables):
             assert_array_equal(result.columns[name], column, err_msg=f"{fig} {name}")
         assert fresh.metadata == result.metadata and fresh.checks == result.checks
     assert len(tables) == 3
+
+
+@pytest.mark.parametrize("fig", ["fig4", "fig5", "fig6", "fig7"])
+def test_spectral_presets_report_their_pinned_checks(fig):
+    assert check_lines(presets.PRESETS[fig].run()) == PINNED_CHECKS[fig]
 
 
 def test_a_pending_error_keeps_no_caller_alive(tables):
