@@ -6,6 +6,8 @@ stability analysis, linearized fluctuation spectra with input-output
 normalization, and squeezing/entanglement/steering correlation measures.
 """
 
+import types
+
 from .correlations import (
     CorrelationSeries,
     QuadratureSpec,
@@ -67,53 +69,7 @@ from .trajectories import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ConvergenceError",
-    "CorrelationError",
-    "CorrelationSeries",
-    "CriticalPoint",
-    "EnsembleQualityError",
-    "MomentTable",
-    "PhaseSpacePoint",
-    "QuadratureSpec",
-    "SfgsimError",
-    "SpectrumResult",
-    "StabilityBoundary",
-    "StabilityReport",
-    "SteadyStateError",
-    "SteadyStateSolution",
-    "SystemParams",
-    "TrajectoryConfig",
-    "UnstableOperatingPointError",
-    "classical_rhs",
-    "critical_point",
-    "default_omegas",
-    "diffusion_product",
-    "drift_matrix",
-    "drive_ratios",
-    "duan_simon",
-    "eigenvalues_symmetric",
-    "epr_product",
-    "fano",
-    "fano_sum",
-    "intracavity_spectrum",
-    "noise_matrix",
-    "output_spectra",
-    "quadrature_covariance",
-    "quadrature_index",
-    "quadrature_variance",
-    "residual_norm",
-    "run_ensemble",
-    "semiclassical_trajectory",
-    "solve_steady",
-    "solve_steady_general",
-    "solve_steady_symmetric",
-    "spectral_duan_simon",
-    "spectral_epr",
-    "spectrum",
-    "stability",
-    "stability_margin",
-    "stability_map",
-    "step",
-]
+# every public name is imported above, once: the package exports each
+# imported object that is not a module
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, types.ModuleType))

@@ -14,10 +14,12 @@ any CSV can be regenerated from its sidecar alone.  A key a run does not
 use is refused as a flag, and as a file key unless it holds its default
 or, for a travelling wave, zero: every physics key for ``reproduce``, and
 ``n_traj`` and ``seed`` too when no figure given runs an ensemble (fig4
-to fig7 alone); ``gamma3``, ``eps1`` and ``eps2`` for ``stability-map``;
-the pumps and losses for a travelling wave.  A command writes its files
-before it prints, and a stdout closed early (``| head``) ends the
-printing, not the run: exit 0, no message.
+to fig7 alone); every trajectory key and ``mode`` for ``steady``,
+``spectrum`` and ``stability-map``, which run no ensemble; ``gamma3``,
+``eps1`` and ``eps2`` for ``stability-map``; the pumps and losses for a
+travelling wave.  A command writes its files before it prints, and a
+stdout closed early (``| head``) ends the printing, not the run: exit 0,
+no message.
 
 Every failure, running out of memory included, prints a one-line
 ``error:`` message and exits nonzero (``_EXIT_CODES``).  The only
@@ -133,10 +135,13 @@ def _merge_config(args):
         if all(presetsmod.PRESETS[fig].default_n_traj is None for fig in args.figure):
             rules.append((("n_traj", "seed"),
                           f"reproduce {' '.join(args.figure)} runs no ensemble", ()))
-    elif args.command == "stability-map":
+    elif args.command == "simulate":
+        if merged.get("mode") in ("tw", "travelling-wave"):
+            rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
+    else:
+        rules.append((_TRAJECTORY_KEYS + ("mode",), f"{args.command} runs no ensemble", ()))
+    if args.command == "stability-map":
         rules.append((("gamma3", "eps1", "eps2"), "stability-map sweeps gamma3 with no pump", ()))
-    elif args.command == "simulate" and merged.get("mode") in ("tw", "travelling-wave"):
-        rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
     for unused, why, kept in rules:
         ignored = (["--" + key.replace("_", "-") for key in unused if key in flags]
                    + [f"{key} in {args.config}" for key in unused if key in values

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .spectra import N_OMEGA, default_omegas
 
 COMMANDS = ("steady", "stability-map", "spectrum", "simulate", "reproduce")
@@ -229,9 +229,14 @@ def trajectory_config(cfg: RunConfig):
 
 
 def omega_grid(cfg: RunConfig):
-    lo, hi = default_omegas(cfg, n=2)  # the default ends: reads only gamma1, ends are exact
-    lo = lo if cfg.omega_min is None else cfg.omega_min
-    hi = hi if cfg.omega_max is None else cfg.omega_max
+    lo, hi = cfg.omega_min, cfg.omega_max
+    if lo is None or hi is None:
+        try:  # the default ends: reads only gamma1, ends are exact
+            default_lo, default_hi = default_omegas(cfg, n=2)
+        except ParameterError as exc:
+            raise ConfigError(f"{exc}; set omega_min and omega_max") from None
+        lo = default_lo if lo is None else lo
+        hi = default_hi if hi is None else hi
     if not lo < hi:
         raise ConfigError("omega_min must be below omega_max")
     return linear_grid(lo, hi, cfg.n_omega, "n_omega")

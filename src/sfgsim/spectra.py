@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, CorrelationError, UnstableOperatingPointError
+from .errors import (ConvergenceError, CorrelationError, ParameterError,
+                     UnstableOperatingPointError)
 
 # Margin below which a drift eigenvalue is treated as unstable/marginal.
 STABILITY_TOL = 1e-9
@@ -217,9 +218,13 @@ N_OMEGA = 801  # points of the default frequency grid, and the n_omega key's def
 def default_omegas(params, n=N_OMEGA, span=20.0):
     """Symmetric frequency grid: `n` points over [-span, span] * gamma1.
 
-    A travelling-wave gamma1 of zero falls back to unit frequency scale.
+    A travelling-wave gamma1 of zero falls back to unit frequency scale;
+    a span beyond float64's range raises ParameterError.
     """
     scale = params.gamma1 if params.gamma1 > 0 else 1.0
+    if not np.isfinite(2.0 * span * scale):
+        raise ParameterError(f"frequency grid of +-{span:g} gamma1 spans more than float64 "
+                             f"holds (gamma1 {params.gamma1!r})")
     return np.linspace(-span * scale, span * scale, n)
 
 

@@ -307,14 +307,13 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
     if params.eps1 == 0 and params.eps2 == 0:
         return SteadyStateSolution(0j, 0j, 0j, 0.0, "numeric-general")
 
-    # conj(eps)/g, not _doubled(eps/g, ...): conj(eps/g) can differ in a signed zero
-    e1, e2 = params.eps1, params.eps2
-    x = np.array([e1 / g1, np.conj(e1) / g1, e2 / g2, np.conj(e2) / g2, 0j, 0j], dtype=complex)
-
     def max_abs(v):
         return float(np.max(np.abs(v)))
 
+    e1, e2 = params.eps1, params.eps2
     with np.errstate(over="ignore", invalid="ignore"):
+        # conj(eps)/g, not _doubled(eps/g, ...): conj(eps/g) can differ in a signed zero
+        x = np.array([e1 / g1, np.conj(e1) / g1, e2 / g2, np.conj(e2) / g2, 0j, 0j], dtype=complex)
         n_iter = 0
         F = classical_rhs(params, x)
         res = max_abs(F)
@@ -322,7 +321,8 @@ def solve_steady_general(params: SystemParams) -> SteadyStateSolution:
             if not np.isfinite(res):
                 raise ConvergenceError(
                     f"steady-state iteration overflowed float64 (residual {res:.3e}): "
-                    "pumps too large", last_iterate=x)
+                    f"pumps eps1 {e1:.3g}, eps2 {e2:.3g} too large for loss rates "
+                    f"gamma1 {g1:.3g}, gamma2 {g2:.3g}, gamma3 {g3:.3g}", last_iterate=x)
             # stopping tests relative to the equation terms and the iterate: a
             # root correct to rounding leaves a few 1e-16 of the terms, and
             # 1e-14 of them stays below the verification bound at any scale
@@ -417,18 +417,20 @@ def critical_point(params: SystemParams) -> CriticalPoint:
     Substituting a3 = -gamma/kappa into the fixed-point relations gives
     epsilon_c = 2 gamma sqrt(gamma gamma3)/kappa and
     alpha_c = epsilon_c/(2 gamma); asymmetric driving has no such simple
-    expression and is rejected.
+    expression and is rejected, as is a critical point beyond float64's
+    range (a kappa too small for the loss rates).
     """
     gamma = params.symmetric_gamma()
     gamma3 = params.gamma3
     if gamma <= 0 or gamma3 <= 0:
         raise ParameterError("critical_point requires gamma > 0 and gamma3 > 0")
-    eps_c = 2.0 * gamma * np.sqrt(gamma * gamma3) / params.kappa
-    return CriticalPoint(
-        alpha_c=eps_c / (2.0 * gamma),
-        epsilon_c=eps_c,
-        alpha3_c=-gamma / params.kappa,
-    )
+    with np.errstate(over="ignore"):
+        eps_c = 2.0 * gamma * np.sqrt(gamma * gamma3) / params.kappa
+        alpha_c = eps_c / (2.0 * gamma)
+    if not np.isfinite(alpha_c):
+        raise ParameterError(f"critical drive epsilon_c {eps_c:.3g} (alpha_c {alpha_c:.3g}) "
+                             f"overflows float64 at kappa {params.kappa:g}")
+    return CriticalPoint(alpha_c=alpha_c, epsilon_c=eps_c, alpha3_c=-gamma / params.kappa)
 
 
 def drive_ratios(params: SystemParams):

@@ -417,7 +417,6 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
     s = np.repeat(init.as_array()[:, None], n, axis=1)
     advance = _midpoint_step(params, s, dt_raw)
     alive = np.ones(n, dtype=bool)
-    accumulate_sample(sums, slice(0, 1), s.T, segments, keep)
     # trajectory i's stream, on a generator of ``spare`` re-keyed where the
     # list has one; the list keeps any new and any surplus generators
     gens = [trajectory_generator(cfg.seed, i, reuse)
@@ -438,6 +437,7 @@ def _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep):
     block = np.empty((6, R, n), dtype=complex)
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        accumulate_sample(sums, slice(0, 1), s.T, segments, keep)
         while done < n_steps:
             count = min(len(draws), n_steps - done)
             draw_block(gens, count, out=buf)

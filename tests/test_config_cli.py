@@ -387,6 +387,25 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
      {}, "moment table of 64 batches x 10000000000000001 samples"),
     (["simulate", "--n-traj", "1" + "0" * 20, "--t-max", "0.01"], {},
      "n_traj 100000000000000000000 in n_batches 64 gives batches of 1562500000000000000"),
+    # inputs at the edges of float64's range, each blamed on what overflows
+    (["stability-map", "--kappa", "5e-324", "--n-ratio", "2"], {},
+     "critical drive epsilon_c inf (alpha_c inf) overflows float64 at kappa 4.94066e-324"),
+    (["steady", "--gamma2", "5e-324", "--gamma3", "1e300", "--eps2", "1e-300"], {},
+     "overflowed float64 (residual nan): pumps eps1 0+0j, eps2 1e-300+0j too large for "
+     "loss rates gamma1 1, gamma2 4.94e-324, gamma3 1e+300"),
+    (["spectrum", "--gamma1", "1.7e308", "--gamma2", "1", "--n-omega", "5"], {},
+     "frequency grid of +-20 gamma1 spans more than float64 holds (gamma1 1.7e+308); "
+     "set omega_min and omega_max"),
+    # a command that runs no ensemble takes no trajectory key from a file
+    (["steady", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"], {},
+     "steady runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
+     "seed in traj.cfg cannot change them"),
+    (["spectrum", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"], {},
+     "spectrum runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
+     "seed in traj.cfg cannot change them"),
+    (["stability-map", "--n-ratio", "2", "--config", "start.cfg"], {},
+     "stability-map runs no ensemble; dt in start.cfg, alpha3_0 in start.cfg, "
+     "mode in start.cfg cannot change them"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
@@ -401,7 +420,10 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
         "output-names-directory-dot", "tw-dt-underflows-steps", "t-max-overflows-steps",
         "automatic-t-max-overflows-steps", "n-omega-too-large", "n-ratio-too-large",
-        "moment-table-too-large", "batch-too-wide"])
+        "moment-table-too-large", "batch-too-wide", "stability-map-tiny-kappa",
+        "steady-tiny-loss-rate", "spectrum-huge-gamma1-default-grid",
+        "steady-trajectory-config-keys", "spectrum-trajectory-config-keys",
+        "stability-map-trajectory-config-keys"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -409,6 +431,9 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
     (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
     (tmp_path / "ensemble.cfg").write_text("n_traj = auto\nseed = 3\n")
     (tmp_path / "map.cfg").write_text("gamma3 = 7\neps1 = 0\neps2 = 5\n")
+    (tmp_path / "traj.cfg").write_text("n_traj = 5\nseed = 4\nsample_stride = 3\n")
+    # dt and the initial amplitudes at their defaults would pass
+    (tmp_path / "start.cfg").write_text("mode = tw\ndt = 1e-3\nalpha1_0 = 0\nalpha3_0 = 2j\n")
     (tmp_path / "sub").mkdir()
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -420,6 +445,20 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
     # every failure comes before any work is reported
     assert out == ""
+
+
+def test_cli_simulate_from_an_overflowing_amplitude_is_one_error_line(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the t = 0 sample of amplitude 1e300 overflows a moment
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--n-traj", "4", "--t-max", "0.01",
+                         "--alpha1-0", "1e300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: 4 of 4 trajectories hit the divergence guard (1e+08); "
+        "shrink dt or revisit the parameters"]
 
 
 def test_cli_leaves_unexpected_value_errors_to_surface(tmp_path, monkeypatch):
@@ -545,6 +584,21 @@ def test_stability_map_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypa
     meta = json.loads((tmp_path / "first.json").read_text())
     (tmp_path / "replay.cfg").write_text(meta["config"])
     assert cli.main(["stability-map", "--config", "replay.cfg", "--output", "second"]) == 0
+    assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [["steady", "--eps1", "200", "--eps2", "200"],
+                                  ["spectrum", "--eps1", "200", "--eps2", "200",
+                                   "--n-omega", "5"]], ids=["steady", "spectrum"])
+def test_no_ensemble_csv_is_reproducible_from_sidecar_alone(argv, tmp_path, monkeypatch):
+    # the sidecar renders every trajectory key at its default, which a
+    # replay accepts
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--output", "first"]) == 0
+    meta = json.loads((tmp_path / "first.json").read_text())
+    assert "n_traj=auto" in meta["config"] and "mode=cavity" in meta["config"]
+    (tmp_path / "replay.cfg").write_text(meta["config"])
+    assert cli.main([argv[0], "--config", "replay.cfg", "--output", "second"]) == 0
     assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
 
 
