@@ -22,9 +22,8 @@ stdout closed early (``| head``) ends the printing, not the run: exit 0,
 no message.
 
 Every failure, running out of memory included, prints a one-line
-``error:`` message and exits nonzero (``_EXIT_CODES``).  The only
-environment variable honoured is SFGSIM_THREADS (default worker count for
-trajectory ensembles), parsed and checked like the ``threads`` key.
+``error:`` message and exits nonzero (``_EXIT_CODES``).  No environment
+variable is read.
 """
 
 import argparse
@@ -87,7 +86,7 @@ _SUBCOMMANDS = {
 # argparse settings beyond the value type, which always comes from the schema
 _FLAG_EXTRAS = {
     "output": {"metavar": "PREFIX", "help": "output file prefix"},
-    "threads": {"help": "worker threads (default: SFGSIM_THREADS)"},
+    "threads": {"help": "only 1: ensembles run on the calling thread"},
     "mode": {"choices": ("tw", "cavity")},
 }
 
@@ -241,7 +240,11 @@ def _cmd_stability_map(cfg):
                           f"are too close for n_ratio {cfg.n_ratio} distinct ratios")
     closed_top = steady.critical_point(SystemParams.symmetric(
         cfg.kappa, cfg.gamma1, cfg.ratio_max * cfg.gamma1, 0.0)).epsilon_c
-    eps_hi = cfg.eps_max if cfg.eps_max is not None else 2.0 * closed_top
+    with np.errstate(over="ignore"):
+        eps_hi = cfg.eps_max if cfg.eps_max is not None else 2.0 * closed_top
+    if not np.isfinite(eps_hi):  # only the default: eps_max is checked finite
+        raise ConfigError(f"default eps_max, twice epsilon_c {closed_top:.6g}, overflows "
+                          f"float64 at kappa {cfg.kappa:.6g}; set eps_max")
     rows = steady.stability_map(cfg.kappa, cfg.gamma1, ratios, (0.0, eps_hi))
     columns = {
         "gamma3_over_gamma": [r.gamma3_over_gamma for r in rows],
@@ -279,7 +282,7 @@ def _cmd_simulate(cfg):
     params = cfgmod.system_params(cfg)
     tcfg = cfgmod.trajectory_config(cfg)
     init = trajectories.PhaseSpacePoint.coherent(cfg.alpha1_0, cfg.alpha2_0, cfg.alpha3_0)
-    table = trajectories.run_ensemble(params, init, tcfg, threads=cfg.threads)
+    table = trajectories.run_ensemble(params, init, tcfg)
     axis = "zeta" if tcfg.mode == "travelling-wave" else "t"
     inten, se = table.intensities()
     columns = {axis: table.times, **presetsmod.intensity_columns(inten, se)}
@@ -343,7 +346,7 @@ def _cmd_reproduce(cfg, figures, plot_script):
 
 def _reproduce_one(cfg, plot_script):
     preset = presetsmod.PRESETS[cfg.reproduce]
-    result = preset.run(n_traj=cfg.n_traj, seed=cfg.seed, threads=cfg.threads)
+    result = preset.run(n_traj=cfg.n_traj, seed=cfg.seed)
     prefix = _emit(cfg, preset.name, result.columns, result.units, {
         "preset": preset.name,
         "description": preset.description,

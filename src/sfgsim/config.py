@@ -25,8 +25,8 @@ FIGURES = tuple(f"fig{i}" for i in range(1, 9))
 # key -> (comparison, bound) that the key's value, when set, must meet
 _BOUNDS = {"kappa": (">", 0), "gamma1": (">=", 0), "gamma2": (">=", 0), "gamma3": (">=", 0),
            "dt": (">", 0), "t_max": (">", 0), "sample_stride": (">=", 1), "n_traj": (">=", 2),
-           "n_omega": (">=", 2), "n_ratio": (">=", 1), "eps_max": (">", 0), "threads": (">=", 1)}
-_COMPARISONS = {">": operator.gt, ">=": operator.ge}
+           "n_omega": (">=", 2), "n_ratio": (">=", 1), "eps_max": (">", 0), "threads": ("==", 1)}
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
 
 @dataclass
@@ -65,6 +65,7 @@ class RunConfig:
     # artifacts
     reproduce: str | None = None
     output: str | None = None
+    # 1 or auto only: every ensemble runs on the calling thread
     threads: int | None = None
 
     def __post_init__(self):

@@ -5,8 +5,8 @@ trajectory index); the stream position encodes the step index.  Every
 generator gets its key one way, through Philox's public ``state``: a new
 one is built from a fixed seed sequence and then keyed like a reused one.
 Streams are therefore independent of how trajectories are grouped into
-batches, chunks or threads, which is what makes ensemble results
-bit-identical under any degree of parallelism.
+batches or chunks, which is what makes ensemble results bit-identical
+under any chunk width.
 """
 
 import numpy as np

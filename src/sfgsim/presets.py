@@ -65,13 +65,13 @@ class FigurePreset:
     description: str
     parameters: dict         # parameter table the runner builds from, one entry per curve
     default_n_traj: int | None
-    runner: Callable         # runner(preset, n_traj=, seed=, threads=) -> PresetResult
+    runner: Callable         # runner(preset, n_traj=, seed=) -> PresetResult
 
-    def run(self, n_traj=None, seed=None, threads=None):
-        return self.runner(self, n_traj=n_traj, seed=seed, threads=threads)
+    def run(self, n_traj=None, seed=None):
+        return self.runner(self, n_traj=n_traj, seed=seed)
 
 
-def travelling_wave_ensemble(n_traj, seed=None, threads=None):
+def travelling_wave_ensemble(n_traj, seed=None):
     """The shared travelling-wave ensemble behind fig1/fig2/fig3."""
     params = SystemParams.travelling_wave(_TW_PARAMS["kappa"])
     init = trajectories.PhaseSpacePoint.coherent(
@@ -79,7 +79,7 @@ def travelling_wave_ensemble(n_traj, seed=None, threads=None):
     # fig1-fig3 run on the default grid of ``simulate --mode tw``
     cfg = config.trajectory_config(config.RunConfig(
         mode="tw", n_traj=n_traj, seed=TW_SEED if seed is None else seed))
-    return trajectories.run_ensemble(params, init, cfg, threads=threads)
+    return trajectories.run_ensemble(params, init, cfg)
 
 
 def intensity_columns(inten, se):
@@ -97,9 +97,9 @@ def _run_metadata(table):
 _PENDING = {}
 
 
-def _tw_analyses(key, threads):
+def _tw_analyses(key):
     """Every fig1-fig3 analysis of one ensemble."""
-    table = travelling_wave_ensemble(*key, threads)
+    table = travelling_wave_ensemble(*key)
     results = {}
     for name, (_, analyse) in _TW_ANALYSES.items():
         try:
@@ -114,12 +114,12 @@ def _tw_analyses(key, threads):
     return results
 
 
-def _run_tw(preset, n_traj=None, seed=None, threads=None):
+def _run_tw(preset, n_traj=None, seed=None):
     """Runner of fig1-fig3: a pending result for this key, or a new ensemble."""
     key = (preset.default_n_traj if n_traj is None else n_traj, TW_SEED if seed is None else seed)
     if preset.name not in _PENDING.get(key, ()):
         _PENDING.clear()
-        _PENDING[key] = _tw_analyses(key, threads)
+        _PENDING[key] = _tw_analyses(key)
     result = _PENDING[key].pop(preset.name)
     if isinstance(result, Exception):
         raise result
@@ -277,7 +277,7 @@ def _run_fig7(preset, **_):
     )
 
 
-def _run_fig8(preset, n_traj=None, seed=None, threads=None):
+def _run_fig8(preset, n_traj=None, seed=None):
     p = SystemParams(**preset.parameters["run"])
     init = trajectories.PhaseSpacePoint.vacuum()
     cfg = trajectories.TrajectoryConfig(
@@ -285,17 +285,18 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
         seed=CAVITY_SEED if seed is None else seed,
         sample_stride=1000, mode="cavity",
     )
-    table = trajectories.run_ensemble(p, init, cfg, threads=threads)
+    table = trajectories.run_ensemble(p, init, cfg)
     t_sc, sc = trajectories.semiclassical_trajectory(p, init, cfg)
-    fp = steady.solve_steady(p).intensities
+    ss = steady.solve_steady(p)
+    fp = ss.intensities
 
     inten, se = table.intensities()
     sc_n = np.real(sc[:, 1::2] * sc[:, 0::2])
     last = -1
     checks = [
-        _z_check("low-frequency mean exceeds semiclassical point",
+        _z_check("low-frequency mean exceeds symmetric fixed point",
                  (inten[last, 0] - fp[0]) / se[last, 0], "n1 above fixed point"),
-        _z_check("sum-frequency mean falls below semiclassical point",
+        _z_check("sum-frequency mean falls below symmetric fixed point",
                  (fp[2] - inten[last, 2]) / se[last, 2], "n3 below fixed point"),
     ]
     cols = {"t": table.times, **intensity_columns(inten, se),
@@ -303,7 +304,9 @@ def _run_fig8(preset, n_traj=None, seed=None, threads=None):
     return PresetResult(
         axis_unit="1/gamma1", columns=cols,
         units={k: "photons" for k in cols if k != "t"},
-        metadata={"fixed_point_n": list(fp), **_run_metadata(table)},
+        # a negative margin: the symmetric fixed point is a saddle here
+        metadata={"fixed_point_n": list(fp), "fixed_point_margin": steady.stability(p, ss).margin,
+                  **_run_metadata(table)},
         checks=checks,
     )
 

@@ -54,22 +54,18 @@ number of batches; batch means provide standard errors.  Sampled states
 are reduced in the component-first layout they are stored in: each batch
 of each sample is one ``np.add.reduceat`` segment along the trajectory
 axis, so every reported moment is a pure function of (seed, n_traj,
-n_batches, grid) - bit-identical under any chunking or thread count.
-Each group of batches accumulates its sums straight into its own rows of
-the table ``run_ensemble`` returns, which are then divided in place into
-batch means: the ensemble never holds a second copy of the table.
+n_batches, grid) - bit-identical under any chunking.  Each chunk of
+batches accumulates its sums straight into its own rows of the table
+``run_ensemble`` returns, which are then divided in place into batch
+means: the ensemble never holds a second copy of the table.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-from .config import _parse_value
-from .errors import ConfigError, EnsembleQualityError, ParameterError
+from .errors import EnsembleQualityError, ParameterError
 from .noise import NOISES_PER_STEP, draw_block, trajectory_generator
 from .steady import block_coefficients, block_flow, flow_coefficients, flow_rows
 
@@ -461,41 +457,30 @@ def run_ensemble(params, init, cfg, threads=None):
     Trajectory ``i`` draws its noise from a stream keyed by
     ``(cfg.seed, i)`` and each batch is reduced over its own contiguous
     segment, so the outcome is a pure function of the configuration:
-    identical for any chunking and any thread count.  Diverged
-    trajectories are excluded from every average and counted; more than
-    MAX_DIVERGED_FRACTION of them raises EnsembleQualityError, since
-    divergence signals a configuration fault.  ``threads=None`` takes
-    SFGSIM_THREADS (default 1), parsed and checked like the ``threads``
-    configuration key.
+    identical for any chunking.  Diverged trajectories are excluded from
+    every average and counted; more than MAX_DIVERGED_FRACTION of them
+    raises EnsembleQualityError, since divergence signals a configuration
+    fault.  Chunks run one after the other on the calling thread;
+    ``threads``, kept for callers that pass it, must be None or 1.
 
     Memory: the returned table, one B x S x 3 (x 3 for a product) complex
     array per entry of ``MOMENTS`` (B x S x 42 for the six), allocated
-    once, plus for each chunk in flight its state, step buffers, noise
-    buffer (at most NOISE_BLOCK_BYTES for chunks up to 65536
-    trajectories) and block of sampled states (an eighth of that, or one
-    sample), whatever the ensemble size or thread count.  Each worker
-    thread holds one list of generators, one per trajectory of the widest
-    chunk it has run, which its later passes re-key rather than rebuild:
-    at most min(threads, chunks) lists exist, one per thread of the call,
-    and they are freed with it.  A table, or a batch's (6, width) state,
-    whose size numpy cannot index raises ParameterError before any work;
-    one larger than memory raises MemoryError.
+    once, plus the running chunk's state, step buffers, noise buffer (at
+    most NOISE_BLOCK_BYTES for chunks up to 65536 trajectories) and block
+    of sampled states (an eighth of that, or one sample), whatever the
+    ensemble size.  One list of generators, one per trajectory of the
+    widest chunk run so far, is re-keyed by each later pass rather than
+    rebuilt, and freed with the call.  A table, or a batch's (6, width)
+    state, whose size numpy cannot index raises ParameterError before any
+    work; one larger than memory raises MemoryError.
     """
-    if threads is None:
-        text = os.environ.get("SFGSIM_THREADS", "1")
-        try:
-            threads = _parse_value("threads", text)
-        except ConfigError as exc:
-            raise ConfigError(f"SFGSIM_THREADS: {exc}") from None
-        if threads is None or threads < 1:
-            raise ConfigError(
-                f"SFGSIM_THREADS: invariant violated: threads >= 1 (got {text!r})")
+    if threads not in (None, 1):
+        raise ParameterError(f"threads must be 1 (got {threads!r}): ensembles run on one thread")
     dt_raw = _raw_dt(params, init, cfg)
     if not init.is_finite:
         raise ParameterError("initial state must be finite")
 
-    B = cfg.n_batches
-    S = cfg.n_samples
+    B, S = cfg.n_batches, cfg.n_samples
     # the batch bounds are intp, and a chunk's pass holds the (6, width)
     # complex state of at least one whole batch: refuse what numpy cannot
     # size before anything is sized by it
@@ -505,9 +490,8 @@ def run_ensemble(params, init, cfg, threads=None):
                              "trajectories, too wide for an array")
     counts, bounds = _batch_bounds(cfg.n_traj, B)
 
-    # group whole batches into chunks near the vectorization target
-    batch_size = max(1, int(counts.max()))
-    per_chunk = max(1, TRAJECTORY_CHUNK // batch_size)
+    # group whole batches, each at most widest, into chunks near the vectorization target
+    per_chunk = max(1, TRAJECTORY_CHUNK // widest)
     groups = [(b, min(b + per_chunk, B)) for b in range(0, B, per_chunk)]
 
     try:
@@ -517,21 +501,17 @@ def run_ensemble(params, init, cfg, threads=None):
         raise ParameterError(f"the moment table of {B} batches x {S} samples x 3 x 3 "
                              f"is too large for an array; raise sample_stride") from None
     valid = np.zeros(B, dtype=int)
-    # each worker thread's generator list, kept for its later groups
-    local = threading.local()
-
-    def do_group(gi):
+    spare = []  # the generator list, kept for later passes
+    for b_lo, b_hi in groups:
         # _batch_bounds gives the extra trajectories to the first batches,
         # so a group's nonempty batches are a prefix of its rows; the empty
         # ones keep zeros (reduceat needs strictly advancing offsets)
-        b_lo, b_hi = groups[gi]
         rows = slice(b_lo, b_lo + np.count_nonzero(counts[b_lo:b_hi]))
         lo, hi = bounds[b_lo], bounds[b_hi]
         if hi == lo:
-            return
+            continue
         segments = bounds[rows] - lo
         sums = MomentView(*(t[rows] for t in tables))
-        spare = local.__dict__.setdefault("spare", [])
         alive = _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=None)
         if not alive.all():
             # integrate again with the diverged trajectories zero-weighted
@@ -541,13 +521,6 @@ def run_ensemble(params, init, cfg, threads=None):
                 t[rows] = 0
             _pass(params, init, cfg, dt_raw, lo, hi, segments, sums, spare, keep=alive)
         valid[rows] = np.add.reduceat(alive.astype(int), segments)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_group, range(len(groups))))
-    else:
-        for gi in range(len(groups)):
-            do_group(gi)
 
     n_diverged = cfg.n_traj - int(valid.sum())
     if n_diverged > MAX_DIVERGED_FRACTION * cfg.n_traj:

@@ -83,7 +83,7 @@ def _bound(key, value):
     (_bound("n_omega", 1), "invariant violated: n_omega >= 2 (got 1)"),
     (_bound("n_ratio", 0), "invariant violated: n_ratio >= 1 (got 0)"),
     (_bound("eps_max", 0.0), "invariant violated: eps_max > 0 (got 0.0)"),
-    (_bound("threads", 0), "invariant violated: threads >= 1 (got 0)"),
+    (_bound("threads", 0), "invariant violated: threads == 1 (got 0)"),
     (lambda: parse_config("kappa=0.01\ngamma1 1\n"), "line 2: expected key=value"),
     (lambda: omega_grid(RunConfig(omega_min=2.0, omega_max=1.0)),
      "omega_min must be below omega_max"),
@@ -187,7 +187,7 @@ def run_configs(draw):
         eps_max=draw(_optional(_POSITIVE)),
         reproduce=draw(_optional(st.sampled_from(FIGURES))),
         output=draw(_optional(output)),
-        threads=draw(_optional(st.integers(1, 1024))),
+        threads=draw(st.sampled_from([None, 1])),
     ).validate()
 
 
@@ -319,96 +319,102 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
                      "--kappa", "0.0008405059041898818", "--gamma3", "8.963009324484853"]
 
 
-@pytest.mark.parametrize("argv, env, needle", [
-    (["steady", "--eps1", "nan", "--eps2", "nan"], {}, "eps1 is finite"),
-    (["steady", "--kappa", "inf"], {}, "kappa is finite"),
-    (["steady", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], {}, "loss rates"),
-    (["spectrum", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], {}, "loss rates"),
-    (["steady", "--config", "missing.cfg"], {}, "missing.cfg"),
-    (["steady", "--eps1", "200", "--eps2", "200", "--output", "nodir/x"], {}, "nodir/x"),
-    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--output", "nodir/x"], {},
+@pytest.mark.parametrize("argv, needle", [
+    (["steady", "--eps1", "nan", "--eps2", "nan"], "eps1 is finite"),
+    (["steady", "--kappa", "inf"], "kappa is finite"),
+    (["steady", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], "loss rates"),
+    (["spectrum", "--gamma3", "0", "--eps1", "100", "--eps2", "100"], "loss rates"),
+    (["steady", "--config", "missing.cfg"], "missing.cfg"),
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "nodir/x"], "nodir/x"),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--output", "nodir/x"],
      "nodir/x"),
-    (["simulate", "--mode", "tw", "--n-traj", "4", "--t-max", "0.01"], {}, "initial a1"),
-    (["simulate", "--n-traj", "4", "--t-max", "0.01"], {"SFGSIM_THREADS": "abc"},
-     "SFGSIM_THREADS"),
-    (["simulate", "--n-traj", "4", "--dt", "3e-4", "--t-max", "1e-3"], {},
+    (["simulate", "--mode", "tw", "--n-traj", "4", "--t-max", "0.01"], "initial a1"),
+    (["simulate", "--n-traj", "4", "--dt", "3e-4", "--t-max", "1e-3"],
      "whole number of steps"),
-    (["simulate", "--n-traj", "8", "--t-max", "0.001", "--dt", "0.0005"], {},
+    (["simulate", "--n-traj", "8", "--t-max", "0.001", "--dt", "0.0005"],
      "sample_stride (10) exceeds the 2 steps"),
-    (["reproduce", "fig4", "--eps1", "1e200"], {}, "--eps1"),
-    (["steady", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
-    (["spectrum", "--eps1", "1e200", "--eps2", "1e200"], {}, "cubic overflows float64"),
-    (["steady", "--eps1", "1e200", "--eps2", "5e199"], {}, "overflowed float64"),
+    (["reproduce", "fig4", "--eps1", "1e200"], "--eps1"),
+    (["steady", "--eps1", "1e200", "--eps2", "1e200"], "cubic overflows float64"),
+    (["spectrum", "--eps1", "1e200", "--eps2", "1e200"], "cubic overflows float64"),
+    (["steady", "--eps1", "1e200", "--eps2", "5e199"], "overflowed float64"),
     # LAPACK's eigenvalue iteration gives up on this drift matrix
-    (["steady", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
-    (["spectrum", *_EIGENVALUES_FAIL], {}, "eigenvalues did not converge"),
-    (["reproduce", "fig4", "--config", "physics.cfg"], {},
+    (["steady", *_EIGENVALUES_FAIL], "eigenvalues did not converge"),
+    (["spectrum", *_EIGENVALUES_FAIL], "eigenvalues did not converge"),
+    (["reproduce", "fig4", "--config", "physics.cfg"],
      "kappa in physics.cfg, eps1 in physics.cfg"),
     # fig4-fig7 run no ensemble to take a trajectory count or seed; a file's
     # default (auto) passes
-    (["reproduce", "fig4", "fig5", "--n-traj", "5", "--seed", "3"], {},
+    (["reproduce", "fig4", "fig5", "--n-traj", "5", "--seed", "3"],
      "reproduce fig4 fig5 runs no ensemble; --n-traj, --seed cannot change them"),
-    (["reproduce", "fig6", "--config", "ensemble.cfg"], {},
+    (["reproduce", "fig6", "--config", "ensemble.cfg"],
      "reproduce fig6 runs no ensemble; seed in ensemble.cfg cannot change them"),
     # the map sweeps gamma3 at every drive: no pump or gamma3 of its own
-    (["stability-map", "--n-ratio", "2", "--eps1", "100", "--gamma3", "7"], {},
+    (["stability-map", "--n-ratio", "2", "--eps1", "100", "--gamma3", "7"],
      "stability-map sweeps gamma3 with no pump; --gamma3, --eps1 cannot change them"),
-    (["stability-map", "--n-ratio", "2", "--config", "map.cfg"], {},
+    (["stability-map", "--n-ratio", "2", "--config", "map.cfg"],
      "stability-map sweeps gamma3 with no pump; gamma3 in map.cfg, eps2 in map.cfg "
      "cannot change them"),
     # a travelling wave has no pump or loss to record beside its data
-    (["simulate", *_TW_SMALL, "--eps1", "5", "--gamma3", "3"], {},
+    (["simulate", *_TW_SMALL, "--eps1", "5", "--gamma3", "3"],
      "no pump or loss; --gamma3, --eps1 cannot change them"),
     # a file's zero (what the run uses) or default (what a sidecar renders) passes
-    (["simulate", *_TW_SMALL, "--config", "tw.cfg"], {},
+    (["simulate", *_TW_SMALL, "--config", "tw.cfg"],
      "no pump or loss; gamma3 in tw.cfg cannot change them"),
-    (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"], {},
+    (["simulate", "--mode", "cavity", "--gamma1", "0", "--gamma2", "0", "--gamma3", "0"],
      "automatic dt needs a positive loss rate"),
-    (["stability-map", "--ratio-min", "2", "--ratio-max", "2"], {}, "ratio_max"),
+    (["stability-map", "--ratio-min", "2", "--ratio-max", "2"], "ratio_max"),
     (["stability-map", "--ratio-min", "1", "--ratio-max", "1.0000000000000002",
-      "--n-ratio", "3"], {},
+      "--n-ratio", "3"],
      "ratio_min 1.0 and ratio_max 1.0000000000000002 are too close for n_ratio 3"),
-    (["reproduce", "fig1", "fig4", "fig1", "--n-traj", "64"], {}, "fig1 given more than once"),
-    (["reproduce", "fig4", "--output", "x#y"], {}, "output 'x#y' does not read back"),
+    (["reproduce", "fig1", "fig4", "fig1", "--n-traj", "64"], "fig1 given more than once"),
+    (["reproduce", "fig4", "--output", "x#y"], "output 'x#y' does not read back"),
     # an existing directory as the prefix would give the hidden sub/.csv
-    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/"], {},
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/"],
      "'sub/' names a directory"),
-    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/."], {},
+    (["steady", "--eps1", "200", "--eps2", "200", "--output", "sub/."],
      "'sub/.' names a directory"),
     # step counts and grid sizes beyond what a float or an array holds
-    (["simulate", "--mode", "tw", "--n-traj", "4", "--dt", "5e-324"], {}, "t_max/dt"),
-    (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e308"], {}, "t_max/dt"),
-    (["simulate", "--n-traj", "4", "--dt", "5e-324"], {}, "t_max/dt"),
-    (["spectrum", "--eps1", "100", "--eps2", "100", "--n-omega", "1" + "0" * 20], {},
+    (["simulate", "--mode", "tw", "--n-traj", "4", "--dt", "5e-324"], "t_max/dt"),
+    (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e308"], "t_max/dt"),
+    (["simulate", "--n-traj", "4", "--dt", "5e-324"], "t_max/dt"),
+    (["spectrum", "--eps1", "100", "--eps2", "100", "--n-omega", "1" + "0" * 20],
      "n_omega 100000000000000000000 is too large"),
-    (["stability-map", "--n-ratio", "1" + "0" * 20], {},
+    (["stability-map", "--n-ratio", "1" + "0" * 20],
      "n_ratio 100000000000000000000 is too large"),
     (["simulate", "--n-traj", "4", "--dt", "1e-3", "--t-max", "1e13", "--sample-stride", "1"],
-     {}, "moment table of 64 batches x 10000000000000001 samples"),
-    (["simulate", "--n-traj", "1" + "0" * 20, "--t-max", "0.01"], {},
+     "moment table of 64 batches x 10000000000000001 samples"),
+    (["simulate", "--n-traj", "1" + "0" * 20, "--t-max", "0.01"],
      "n_traj 100000000000000000000 in n_batches 64 gives batches of 1562500000000000000"),
     # inputs at the edges of float64's range, each blamed on what overflows
-    (["stability-map", "--kappa", "5e-324", "--n-ratio", "2"], {},
+    (["stability-map", "--kappa", "5e-324", "--n-ratio", "2"],
      "critical drive epsilon_c inf (alpha_c inf) overflows float64 at kappa 4.94066e-324"),
-    (["steady", "--gamma2", "5e-324", "--gamma3", "1e300", "--eps2", "1e-300"], {},
+    (["stability-map", "--kappa", "6e-308", "--n-ratio", "2"],
+     "default eps_max, twice epsilon_c 1.49071e+308, overflows float64 at kappa 6e-308; "
+     "set eps_max"),
+    (["steady", "--gamma2", "5e-324", "--gamma3", "1e300", "--eps2", "1e-300"],
      "overflowed float64 (residual nan): pumps eps1 0+0j, eps2 1e-300+0j too large for "
      "loss rates gamma1 1, gamma2 4.94e-324, gamma3 1e+300"),
-    (["spectrum", "--gamma1", "1.7e308", "--gamma2", "1", "--n-omega", "5"], {},
+    (["spectrum", "--gamma1", "1.7e308", "--gamma2", "1", "--n-omega", "5"],
      "frequency grid of +-20 gamma1 spans more than float64 holds (gamma1 1.7e+308); "
      "set omega_min and omega_max"),
     # a command that runs no ensemble takes no trajectory key from a file
-    (["steady", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"], {},
+    (["steady", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"],
      "steady runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
      "seed in traj.cfg cannot change them"),
-    (["spectrum", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"], {},
+    (["spectrum", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"],
      "spectrum runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
      "seed in traj.cfg cannot change them"),
-    (["stability-map", "--n-ratio", "2", "--config", "start.cfg"], {},
+    (["stability-map", "--n-ratio", "2", "--config", "start.cfg"],
      "stability-map runs no ensemble; dt in start.cfg, alpha3_0 in start.cfg, "
      "mode in start.cfg cannot change them"),
+    # every ensemble runs on the calling thread
+    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--threads", "2"],
+     "invariant violated: threads == 1 (got 2)"),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--config", "threads.cfg"],
+     "invariant violated: threads == 1 (got 2)"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
-        "tw-zero-a1", "threads-env", "t-max-not-whole-steps", "stride-past-grid",
+        "tw-zero-a1", "t-max-not-whole-steps", "stride-past-grid",
         "reproduce-physics-flag", "steady-huge-symmetric-pump",
         "spectrum-huge-symmetric-pump", "steady-huge-asymmetric-pump",
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
@@ -421,11 +427,13 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "output-names-directory-dot", "tw-dt-underflows-steps", "t-max-overflows-steps",
         "automatic-t-max-overflows-steps", "n-omega-too-large", "n-ratio-too-large",
         "moment-table-too-large", "batch-too-wide", "stability-map-tiny-kappa",
+        "stability-map-default-eps-max-overflows",
         "steady-tiny-loss-rate", "spectrum-huge-gamma1-default-grid",
         "steady-trajectory-config-keys", "spectrum-trajectory-config-keys",
-        "stability-map-trajectory-config-keys"])
-def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
-                                                   monkeypatch, capsys):
+        "stability-map-trajectory-config-keys", "threads-flag-not-one",
+        "threads-config-key-not-one"])
+def test_cli_failure_is_one_error_line_and_exit_one(argv, needle, tmp_path, monkeypatch,
+                                                   capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
     (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
@@ -434,9 +442,8 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, env, needle, tmp_path,
     (tmp_path / "traj.cfg").write_text("n_traj = 5\nseed = 4\nsample_stride = 3\n")
     # dt and the initial amplitudes at their defaults would pass
     (tmp_path / "start.cfg").write_text("mode = tw\ndt = 1e-3\nalpha1_0 = 0\nalpha3_0 = 2j\n")
+    (tmp_path / "threads.cfg").write_text("threads = 2\n")
     (tmp_path / "sub").mkdir()
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -666,8 +673,15 @@ def test_cli_reproduce_trajectory_preset_small(tmp_path):
     assert r.returncode == 0, r.stderr
     meta = json.loads((tmp_path / "f8.json").read_text())
     assert meta["metadata"]["n_traj"] == 400
-    ss = solve_steady(SystemParams(**PRESETS["fig8"].parameters["run"]))
+    params = SystemParams(**PRESETS["fig8"].parameters["run"])
+    ss = solve_steady(params)
     assert meta["metadata"]["fixed_point_n"] == list(ss.intensities)
+    # the reference is the symmetric fixed point, a saddle at this drive
+    assert meta["metadata"]["fixed_point_margin"] == steady.stability(params, ss).margin
+    assert round(meta["metadata"]["fixed_point_margin"], 3) == -0.545
+    assert [c["name"] for c in meta["checks"]] == [
+        "low-frequency mean exceeds symmetric fixed point",
+        "sum-frequency mean falls below symmetric fixed point"]
     header = (tmp_path / "f8.csv").read_text().splitlines()[0]
     assert "semiclassical_n3" in header
 

@@ -237,7 +237,7 @@ def test_fano_is_nan_only_where_the_mean_is_undefined():
     p = sf.SystemParams.symmetric(0.5, 1.0, 1.0, 1.0)
     cfg = TrajectoryConfig(dt=1e-3, t_max=0.2, n_traj=64, seed=3, sample_stride=50,
                            n_batches=8)
-    m = sf.run_ensemble(p, sf.PhaseSpacePoint.vacuum(), cfg, threads=1)
+    m = sf.run_ensemble(p, sf.PhaseSpacePoint.vacuum(), cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 warning from the vacuum sample
         f = sf.fano_sum(m)

@@ -127,7 +127,7 @@ def tables(monkeypatch):
 
 
 def run(fig, n_traj=64, seed=3):
-    return presets.PRESETS[fig].run(n_traj=n_traj, seed=seed, threads=1)
+    return presets.PRESETS[fig].run(n_traj=n_traj, seed=seed)
 
 
 def test_one_ensemble_per_key_each_result_handed_out_once(tables):
@@ -201,10 +201,10 @@ def test_zero_trajectories_are_refused_not_replaced_by_the_default(fig, monkeypa
     # n_traj=0 is a count, not "unset": it once ran the preset's default
     # (100 000 for fig1, 10 000 for fig8); the stubs fail fast if any
     # ensemble is reached
-    def stub(params, init, cfg, threads=None):
+    def stub(params, init, cfg):
         raise AssertionError(f"an ensemble of {cfg.n_traj} trajectories was started")
 
     monkeypatch.setattr(trajectories, "run_ensemble", stub)
     monkeypatch.setattr(trajectories, "semiclassical_trajectory", stub)
     with pytest.raises(ParameterError, match="n_traj must be >= 2"):
-        presets.PRESETS[fig].run(n_traj=0, seed=3, threads=1)
+        presets.PRESETS[fig].run(n_traj=0, seed=3)

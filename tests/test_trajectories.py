@@ -1,7 +1,6 @@
 """Integrator correctness, ensemble statistics and reproducibility."""
 
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -107,13 +106,12 @@ def test_vacuum_ensemble_stays_vacuum():
         assert np.all(arr == 0)
 
 
-def test_seed_determinism_and_thread_independence():
+def test_seed_determinism():
     init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
     cfg = tw_config(n_traj=96, t_max=0.1)
-    tables = [sf.run_ensemble(TW, init, cfg, threads=t) for t in (1, 3, 7)]
-    for other in tables[1:]:
-        for name in ("a", "ap", "aa", "apap", "apa", "nn"):
-            assert np.array_equal(getattr(tables[0], name), getattr(other, name))
+    first, again = (sf.run_ensemble(TW, init, cfg) for _ in range(2))
+    for name in ("a", "ap", "aa", "apap", "apa", "nn"):
+        assert np.array_equal(getattr(first, name), getattr(again, name))
 
 
 TABLES = ("a", "ap", "aa", "apap", "apa", "nn", "batch_valid")
@@ -122,11 +120,11 @@ TABLES = ("a", "ap", "aa", "apap", "apa", "nn", "batch_valid")
 @pytest.mark.parametrize("case", ["finite", "replayed", "empty-batches"])
 def test_chunk_width_does_not_change_results(case, monkeypatch):
     # chunks cover whole batches and every trajectory owns its noise
-    # stream, so the tables are bit-identical for any chunk width and
-    # thread count; in the second case chunks holding a diverged
-    # trajectory are integrated again with it zero-weighted; in the third
-    # some chunks end in empty batches and others hold nothing, while
-    # every chunk writes its own rows of one shared table
+    # stream, so the tables are bit-identical for any chunk width; in the
+    # second case chunks holding a diverged trajectory are integrated again
+    # with it zero-weighted; in the third some chunks end in empty batches
+    # and others hold nothing, while every chunk writes its own rows of one
+    # shared table
     if case != "replayed":
         p, init = TW, sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
         cfg = tw_config(n_traj=200 if case == "finite" else 5, n_batches=8, t_max=0.02)
@@ -137,7 +135,7 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
         cfg = sf.TrajectoryConfig(dt=0.5, t_max=10.0, n_traj=48, seed=1,
                                   sample_stride=2, mode="travelling-wave", n_batches=8)
     batch = -(-cfg.n_traj // cfg.n_batches)
-    ref = sf.run_ensemble(p, init, cfg, threads=1)
+    ref = sf.run_ensemble(p, init, cfg)
     if case == "replayed":
         assert 0 < ref.n_diverged < cfg.n_batches  # some batches replay, others not
     if case == "empty-batches":
@@ -145,28 +143,24 @@ def test_chunk_width_does_not_change_results(case, monkeypatch):
         assert np.isnan(ref.aa[5:]).all() and np.isfinite(ref.aa[:5]).all()
     for width in (batch, 3 * batch, trajectories.TRAJECTORY_CHUNK, cfg.n_traj):
         monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", width)
-        for threads in (1, 3):
-            m = sf.run_ensemble(p, init, cfg, threads=threads)
-            assert m.n_diverged == ref.n_diverged
-            for name in TABLES:
-                assert np.array_equal(getattr(m, name), getattr(ref, name),
-                                      equal_nan=True), (width, threads, name)
+        m = sf.run_ensemble(p, init, cfg)
+        assert m.n_diverged == ref.n_diverged
+        for name in TABLES:
+            assert np.array_equal(getattr(m, name), getattr(ref, name),
+                                  equal_nan=True), (width, name)
 
 
-@pytest.mark.parametrize("threads", [1, 5])
-def test_generators_are_built_once_per_worker_and_rekeyed_after(threads, monkeypatch):
+def test_generators_are_built_once_and_rekeyed_after(monkeypatch):
     # eight one-batch chunks, five of which replay a diverged trajectory:
-    # thirteen passes of six streams; a worker's first pass builds its
-    # generators, every later pass re-keys a finished pass's list, and no
-    # list serves two passes at once (the tables would differ), even with
-    # more threads than cores switching often
+    # thirteen passes of six streams; the first pass builds the
+    # generators and every later pass re-keys that list
     monkeypatch.setattr(trajectories, "MAX_DIVERGED_FRACTION", 1.0)
     p = sf.SystemParams.travelling_wave(0.1)
     init = sf.PhaseSpacePoint.coherent(alpha1=10.0, alpha2=10.0)
     cfg = sf.TrajectoryConfig(dt=0.5, t_max=10.0, n_traj=48, seed=1,
                               sample_stride=2, mode="travelling-wave", n_batches=8)
     monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", cfg.n_traj)
-    ref = sf.run_ensemble(p, init, cfg, threads=1)
+    ref = sf.run_ensemble(p, init, cfg)
     calls, trajectory_generator = [], trajectories.trajectory_generator
 
     def spy(seed, index, reuse=None):
@@ -176,20 +170,12 @@ def test_generators_are_built_once_per_worker_and_rekeyed_after(threads, monkeyp
 
     monkeypatch.setattr(trajectories, "trajectory_generator", spy)
     monkeypatch.setattr(trajectories, "TRAJECTORY_CHUNK", 6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        m = sf.run_ensemble(p, init, cfg, threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
+    m = sf.run_ensemble(p, init, cfg)
     assert ref.batch_valid.tolist() == [5, 5, 6, 6, 6, 5, 5, 5]
     assert len(calls) == 13 * 6
     built = [index for index, fresh, _ in calls if fresh]
     assert len({ident for *_, ident in calls}) == len(built)
-    if threads == 1:
-        assert built == list(range(6))
-    else:
-        assert len(built) % 6 == 0 and len(built) <= threads * 6
+    assert built == list(range(6))
     for name in TABLES:
         assert np.array_equal(getattr(m, name), getattr(ref, name), equal_nan=True), name
 
@@ -210,7 +196,7 @@ def test_a_seventh_moment_is_one_spec_entry(case, monkeypatch):
                                   sample_stride=2, mode="travelling-wave", n_batches=8)
     ref = sf.run_ensemble(p, init, cfg)
     monkeypatch.setitem(trajectories.MOMENTS, "n", ("n", None))
-    m = sf.run_ensemble(p, init, cfg, threads=2)
+    m = sf.run_ensemble(p, init, cfg)
     if case == "replayed":
         assert 0 < m.n_diverged  # the zero-weighted replay path
     assert m.n.shape == m.a.shape
@@ -349,7 +335,7 @@ def test_ensemble_memory_is_one_moment_table():
     chunk_bytes = 40 * 256 * 16 + trajectories.NOISE_BLOCK_BYTES
     tracemalloc.start()
     try:
-        m = sf.run_ensemble(TW, init, cfg, threads=1)
+        m = sf.run_ensemble(TW, init, cfg)
         _, ensemble_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
@@ -410,7 +396,7 @@ def test_noise_buffer_stays_within_budget_for_a_batch_wider_than_a_chunk(monkeyp
         return block
 
     monkeypatch.setattr(trajectories, "draw_block", recording)
-    m = sf.run_ensemble(TW, init, cfg, threads=1)  # one chunk after the other
+    m = sf.run_ensemble(TW, init, cfg)
     # two one-batch chunks, each drawing 5 + 5 + 2 steps into one buffer
     assert [shape for shape, _ in blocks] == [(32, 5, 4), (32, 5, 4), (32, 2, 4)] * 2
     assert max(nbytes for _, nbytes in blocks) <= budget
@@ -499,9 +485,12 @@ def test_a_stride_past_the_grid_is_refused(t_max, dt, stride):
                              sf.PhaseSpacePoint.coherent(alpha1=complex("nan")),
                              tw_config(mode="cavity")),
      "initial state must be finite"),
+    (lambda: sf.run_ensemble(TW, sf.PhaseSpacePoint.coherent(alpha1=500.0), tw_config(),
+                             threads=2),
+     "threads must be 1 (got 2): ensembles run on one thread"),
 ], ids=["dt", "t-max-below-dt", "steps-overflow-tiny-dt", "steps-overflow-huge-t-max",
         "sample-stride", "mode", "n-batches", "negative-seed", "seed-past-64-bits",
-        "non-finite-initial-state"])
+        "non-finite-initial-state", "threads-other-than-one"])
 def test_trajectory_input_checks_name_their_invariant(check, needle):
     with pytest.raises(ParameterError, match=re.escape(needle)):
         check()
@@ -600,22 +589,6 @@ def test_travelling_wave_scaling_validation():
     with pytest.raises(ValueError):
         sf.run_ensemble(p, sf.PhaseSpacePoint.coherent(alpha1=1.0),
                         tw_config())  # lossy params in tw mode
-
-
-@pytest.mark.parametrize("value", ["abc", "", "-3", "0", "auto"])
-def test_threads_environment_is_validated(value, monkeypatch):
-    monkeypatch.setenv("SFGSIM_THREADS", value)
-    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
-    with pytest.raises(sf.ConfigError, match="SFGSIM_THREADS"):
-        sf.run_ensemble(TW, init, tw_config(n_traj=4))
-
-
-def test_threads_environment_sets_the_default(monkeypatch):
-    init = sf.PhaseSpacePoint.coherent(alpha1=500.0, alpha2=500.0)
-    cfg = tw_config(n_traj=128)
-    serial = sf.run_ensemble(TW, init, cfg, threads=1)
-    monkeypatch.setenv("SFGSIM_THREADS", " 3 ")
-    assert np.array_equal(sf.run_ensemble(TW, init, cfg).aa, serial.aa)
 
 
 def test_semiclassical_decay_without_drive():
