@@ -2,24 +2,24 @@
 
 Commands: ``steady``, ``stability-map``, ``spectrum``,
 ``simulate --mode tw|cavity`` and ``reproduce FIG [FIG ...]``; with several
-figures, ``--output P`` writes each figure under ``P_figN``.  Each subcommand's
-flags are generated from the ``RunConfig`` keys it exposes (the
-``_SUBCOMMANDS`` table); a flag's value parses exactly as the same key
-does in a configuration file, and flags override values read with
-``--config FILE``.
+figures, ``--output P`` writes each figure under ``P_figN``.  Each
+subcommand's row in ``_SUBCOMMANDS`` names the ``RunConfig`` keys it reads,
+and those keys are its only flags; a flag's value parses exactly as the
+same key does in a configuration file, and flags override values read
+with ``--config FILE``.
 Every data-producing command writes CSV files (full round-trip precision,
 deterministic row order) plus a JSON sidecar holding the complete
 configuration, seed, code version and trajectory/divergence counts, so
 any CSV can be regenerated from its sidecar alone.  A key a run does not
-use is refused as a flag, and as a file key unless it holds its default
-or, for a travelling wave, zero: every physics key for ``reproduce``, and
-``n_traj`` and ``seed`` too when no figure given runs an ensemble (fig4
-to fig7 alone); every trajectory key and ``mode`` for ``steady``,
-``spectrum`` and ``stability-map``, which run no ensemble; ``gamma3``,
-``eps1`` and ``eps2`` for ``stability-map``; the pumps and losses for a
-travelling wave.  A command writes its files before it prints, and a
-stdout closed early (``| head``) ends the printing, not the run: exit 0,
-no message.
+read is refused as a file key unless it holds its default, as every
+sidecar renders it: each key outside the command's row, except
+``command`` and, for ``reproduce``, ``reproduce``, which the command line
+sets.  Two rules depend on values, and refuse flags too: a
+travelling-wave ``simulate`` reads no pump or loss (a file may hold
+zero), and ``reproduce`` reads no ``n_traj`` or ``seed`` when no figure
+given runs an ensemble (fig4 to fig7 alone).  A command writes its files
+before it prints, and a stdout closed early (``| head``) ends the
+printing, not the run: exit 0, no message.
 
 Every failure, running out of memory included, prints a one-line
 ``error:`` message and exits nonzero (``_EXIT_CODES``).  No environment
@@ -62,25 +62,24 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped onto exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise ConfigError(message)
 
 
 _PHYSICS_KEYS = ("kappa", "gamma1", "gamma2", "gamma3", "eps1", "eps2")
-_PARAM_KEYS = _PHYSICS_KEYS + ("output", "threads")
 _TRAJECTORY_KEYS = ("dt", "t_max", "sample_stride", "n_traj", "seed",
                     "alpha1_0", "alpha2_0", "alpha3_0")
 
-# subcommand -> (help, the RunConfig keys it exposes as --flags, in order)
+# subcommand -> (help, the RunConfig keys it reads, in flag order): its
+# flags, and the only keys a file may set away from their defaults
 _SUBCOMMANDS = {
-    "steady": ("classical steady state and stability", _PARAM_KEYS),
-    "stability-map": ("stability boundary over gamma3/gamma",
-                      _PARAM_KEYS + ("ratio_min", "ratio_max", "n_ratio", "eps_max")),
+    "steady": ("classical steady state and stability", _PHYSICS_KEYS + ("output",)),
+    "stability-map": ("stability boundary over gamma3/gamma", _PHYSICS_KEYS[:3] + (
+        "output", "ratio_min", "ratio_max", "n_ratio", "eps_max")),
     "spectrum": ("output quadrature spectra at a stable point",
-                 _PARAM_KEYS + ("omega_min", "omega_max", "n_omega")),
+                 _PHYSICS_KEYS + ("output", "omega_min", "omega_max", "n_omega")),
     "simulate": ("stochastic trajectory ensemble",
-                 _PARAM_KEYS + _TRAJECTORY_KEYS + ("mode",)),
-    "reproduce": ("run named scenario presets", _PARAM_KEYS + ("n_traj", "seed")),
+                 _PHYSICS_KEYS + ("output",) + _TRAJECTORY_KEYS + ("mode",)),
+    "reproduce": ("run named scenario presets", ("output", "threads", "n_traj", "seed")),
 }
 
 # argparse settings beyond the value type, which always comes from the schema
@@ -95,11 +94,12 @@ def build_parser():
     parser = _Parser(
         prog="sfgsim",
         description="Quantum dynamics of intracavity sum frequency generation.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"sfgsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, keys) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE", help="key=value configuration file")
         for key in keys:
             # an absent flag leaves no attribute, so it never masks the file
@@ -120,27 +120,24 @@ def _merge_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values = cfgmod.config_values(fh.read())
-    flags = {key: getattr(args, key) for key in _SUBCOMMANDS[args.command][1]
-             if hasattr(args, key)}
-    flags["command"] = args.command
+    row = _SUBCOMMANDS[args.command][1]
+    # the command line sets the verb, and for reproduce its first figure
+    flags = {key: getattr(args, key) for key in (*row, "command") if hasattr(args, key)}
+    if args.command == "reproduce":
+        flags["reproduce"] = args.figure[0]
     merged = {**values, **flags}
     # a key the run never reads would be recorded in the sidecar beside data
-    # not computed with it: such a flag is refused, and such a file key unless
-    # it holds RunConfig's default, as every sidecar renders it, or the zero
-    # a travelling-wave run uses; one (keys, reason, kept values) per rule
-    rules = []
-    if args.command == "reproduce":
-        rules.append((_PHYSICS_KEYS, "reproduce runs the preset's own parameters", ()))
-        if all(presetsmod.PRESETS[fig].default_n_traj is None for fig in args.figure):
-            rules.append((("n_traj", "seed"),
-                          f"reproduce {' '.join(args.figure)} runs no ensemble", ()))
-    elif args.command == "simulate":
-        if merged.get("mode") in ("tw", "travelling-wave"):
-            rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
-    else:
-        rules.append((_TRAJECTORY_KEYS + ("mode",), f"{args.command} runs no ensemble", ()))
-    if args.command == "stability-map":
-        rules.append((("gamma3", "eps1", "eps2"), "stability-map sweeps gamma3 with no pump", ()))
+    # not computed with it: such a file key is refused unless it holds
+    # RunConfig's default, as every sidecar renders it.  The row names the
+    # keys a command reads; two more rules name keys a value leaves unread,
+    # refused as flags too.  One (keys, reason, kept values) per rule
+    rules = [([key for key in values if key not in row and key not in flags],
+              f"{args.command} does not read these keys", ())]
+    if args.command == "reproduce" and all(
+            presetsmod.PRESETS[fig].default_n_traj is None for fig in args.figure):
+        rules.append((("n_traj", "seed"), f"reproduce {' '.join(args.figure)} runs no ensemble", ()))
+    if args.command == "simulate" and merged.get("mode") in ("tw", "travelling-wave"):
+        rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
     for unused, why, kept in rules:
         ignored = (["--" + key.replace("_", "-") for key in unused if key in flags]
                    + [f"{key} in {args.config}" for key in unused if key in values
@@ -151,7 +148,6 @@ def _merge_config(args):
         repeated = sorted({fig for fig in args.figure if args.figure.count(fig) > 1})
         if repeated:
             raise ConfigError(f"reproduce: {', '.join(repeated)} given more than once")
-        merged["reproduce"] = args.figure[0]
     cfg = cfgmod.RunConfig(**merged).validate()
     directory, base = os.path.split(cfg.output or "sfgsim")  # fail before the work
     if base in ("", ".", ".."):  # a directory: its {prefix}.csv would be hidden

@@ -20,7 +20,8 @@ Raising the drive pushes kappa*a3 toward -gamma, where the slowest drift
 eigenvalue crosses zero; that defines the critical operating point,
 epsilon_c = 2 gamma sqrt(gamma gamma3)/kappa.  ``stability_map`` reports
 that closed form as each boundary, certified by two eigenvalue solves:
-stable at epsilon_c (1 - rel_tol), not stable at epsilon_c (1 + rel_tol).
+stable at epsilon_c (1 - BRACKET_REL_TOL), not stable at
+epsilon_c (1 + BRACKET_REL_TOL).
 
 ``solve_steady_symmetric`` takes that root from the companion-matrix
 roots (``np.roots``) as it is and verifies it against the full
@@ -42,6 +43,9 @@ RESIDUAL_TOL = 1e-10
 
 # Newton/fixed-point iteration budget for the general solver.
 MAX_ITERATIONS = 10_000
+
+# Relative half-width of the bracket around epsilon_c that stability_map certifies.
+BRACKET_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,10 @@ class StabilityBoundary:
     """One row of a stability-map scan.
 
     When ``bracketed``, ``epsilon_boundary`` is the closed form
-    ``epsilon_closed_form``, certified stable at (1 - rel_tol) times it
-    and not stable at (1 + rel_tol) times it; otherwise it is None and
-    ``note`` says why: the range misses that bracket, or a side of it
-    failed its certificate.
+    ``epsilon_closed_form``, certified stable at (1 - BRACKET_REL_TOL)
+    times it and not stable at (1 + BRACKET_REL_TOL) times it; otherwise
+    it is None and ``note`` says why: the range misses that bracket, or a
+    side of it failed its certificate.
     """
 
     gamma3_over_gamma: float
@@ -116,25 +120,20 @@ class StabilityBoundary:
     note: str = ""
 
 
-def classical_rhs(params, x, out=None):
+def classical_rhs(params, x):
     """Noise-free right-hand sides over the six phase-space components.
 
     The one copy of the classical flow: ``x`` is a state of shape (6,) or
     a component-first block of n states, anything ``np.asarray`` makes
-    into shape (6, n); the result has its shape.  ``out``, a C-contiguous
-    complex array of that shape that does not overlap ``x``, receives the
-    rows instead of a new array; a block ``out`` that is not C-contiguous
-    raises ValueError.  A (6,) state goes through ``flow_rows``, a block
-    through ``block_flow``, which the ensemble step binds once per pass.
+    into shape (6, n); the result is a new complex array of its shape.
+    A (6,) state goes through ``flow_rows``, a block through
+    ``block_flow``, which the ensemble step binds once per pass.
     """
     if np.ndim(x) == 1:
-        if out is None:
-            out = np.empty(6, dtype=complex)
-        out[:] = flow_rows(flow_coefficients(params), *x)
-        return out
+        return np.array(flow_rows(flow_coefficients(params), *x), dtype=complex)
     x = np.asarray(x)
-    out = np.empty(x.shape, dtype=complex) if out is None else out
-    return block_flow(params, x, out, np.empty(x.shape, dtype=complex))()
+    out, scratch = np.empty((2, *x.shape), dtype=complex)
+    return block_flow(params, x, out, scratch)()
 
 
 def block_flow(params, x, out, scratch, coefficients=None):
@@ -153,8 +152,6 @@ def block_flow(params, x, out, scratch, coefficients=None):
     writes each new state into ``x``.  ``coefficients``: ``block_coefficients(params, n)``.
     """
     n = x.shape[1]
-    if not (out.flags.c_contiguous and scratch.flags.c_contiguous):
-        raise ValueError("classical_rhs needs a C-contiguous out")
     E, G, k, mg3 = block_coefficients(params, n) if coefficients is None else coefficients
     x03, x23, x45 = x[0:4], x[2:4], x[4:6]
     y, y01, y45, out03, out45 = scratch[0:4], scratch[0:2], scratch[4:6], out[0:4], out[4:6]
@@ -446,17 +443,17 @@ def drive_ratios(params: SystemParams):
     return amp, amp**2
 
 
-def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
+def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range):
     """Stability boundary of the symmetric cavity over a loss-ratio grid.
 
     For each gamma3/gamma the boundary is the closed form epsilon_c of
     ``critical_point``, certified by two stability solves: the point must
     be ``stable`` (margin above STABILITY_TOL, as ``stability`` and the
-    spectra read it) at epsilon_c (1 - rel_tol) and not stable at
-    epsilon_c (1 + rel_tol), so ``rel_tol`` is the certified bracket's
-    half-width.  A row whose ``epsilon_range = (lo, hi)`` does not hold
-    that bracket, or whose certificate fails, is reported unbracketed
-    with a note, not fatal.
+    spectra read it) at epsilon_c (1 - BRACKET_REL_TOL) and not stable at
+    epsilon_c (1 + BRACKET_REL_TOL).  A row whose
+    ``epsilon_range = (lo, hi)`` does not hold that bracket, or whose
+    certificate fails, a solve beyond float64's range included, is
+    reported unbracketed with a note, not fatal.
     """
     ratios = np.asarray(gamma3_over_gamma, dtype=float)
     if ratios.size == 0 or np.any(np.diff(ratios) <= 0):
@@ -464,20 +461,22 @@ def stability_map(kappa, gamma, gamma3_over_gamma, epsilon_range, rel_tol=1e-6):
     eps_lo, eps_hi = float(epsilon_range[0]), float(epsilon_range[1])
     if not 0 <= eps_lo < eps_hi:
         raise ParameterError("epsilon_range must satisfy 0 <= lo < hi")
-    # the bracket (1 -/+ rel_tol) epsilon_c must be nonempty and above zero
-    if not 0 < rel_tol < 1:
-        raise ParameterError(f"rel_tol must satisfy 0 < rel_tol < 1 (got {rel_tol!r})")
 
     rows = []
     for ratio in ratios:
         p_of = lambda e: SystemParams.symmetric(kappa, gamma, ratio * gamma, e)
         closed = critical_point(p_of(0.0)).epsilon_c
-        below, above = closed * (1 - rel_tol), closed * (1 + rel_tol)
+        below, above = closed * (1 - BRACKET_REL_TOL), closed * (1 + BRACKET_REL_TOL)
         if eps_lo <= below and above <= eps_hi:
-            r_below, r_above = stability(p_of(below)), stability(p_of(above))
-            note = "" if r_below.stable and not r_above.stable else (
-                f"closed form not certified: margin {r_below.margin:.3g} at {below:.9g}, "
-                f"{r_above.margin:.3g} at {above:.9g}")
+            try:  # ``drive`` names the solve that fails
+                r_below = stability(p_of(drive := below))
+                r_above = stability(p_of(drive := above))
+            except (SteadyStateError, ConvergenceError):
+                note = f"closed form not certified: float64 overflows at drive {drive:.9g}"
+            else:
+                note = "" if r_below.stable and not r_above.stable else (
+                    f"closed form not certified: margin {r_below.margin:.3g} at {below:.9g}, "
+                    f"{r_above.margin:.3g} at {above:.9g}")
         else:
             note = ("entire range stable" if eps_hi < closed else
                     "entire range unstable" if eps_lo > closed else

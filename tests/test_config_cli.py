@@ -23,6 +23,7 @@ from sfgsim.config import (
     RunConfig,
     _BOUNDS,
     _render_value,
+    config_values,
     omega_grid,
     parse_config,
     render_config,
@@ -272,18 +273,18 @@ def test_presets_run_their_own_tables():
     assert res.metadata["minima"]["600"] == res.columns["vx3_eps600"].min()
 
 
-# option strings of each subcommand, frozen from the hand-written parser
-# the generated one replaced
+# option strings of each subcommand: one flag per key its row reads
+_PHYSICS_FLAGS = ["--kappa", "--gamma1", "--gamma2", "--gamma3", "--eps1", "--eps2"]
 FROZEN_OPTIONS = {
-    "steady": [],
-    "stability-map": ["--ratio-min", "--ratio-max", "--n-ratio", "--eps-max"],
-    "spectrum": ["--omega-min", "--omega-max", "--n-omega"],
-    "simulate": ["--dt", "--t-max", "--sample-stride", "--n-traj", "--seed",
-                 "--alpha1-0", "--alpha2-0", "--alpha3-0", "--mode"],
-    "reproduce": ["--n-traj", "--seed", "--plot-script"],
+    "steady": [*_PHYSICS_FLAGS, "--output"],
+    "stability-map": ["--kappa", "--gamma1", "--gamma2", "--output",
+                      "--ratio-min", "--ratio-max", "--n-ratio", "--eps-max"],
+    "spectrum": [*_PHYSICS_FLAGS, "--output", "--omega-min", "--omega-max", "--n-omega"],
+    "simulate": [*_PHYSICS_FLAGS, "--output", "--dt", "--t-max", "--sample-stride",
+                 "--n-traj", "--seed", "--alpha1-0", "--alpha2-0", "--alpha3-0", "--mode"],
+    "reproduce": ["--output", "--threads", "--n-traj", "--seed", "--plot-script"],
 }
-FROZEN_COMMON = ["-h", "--help", "--config", "--kappa", "--gamma1", "--gamma2",
-                 "--gamma3", "--eps1", "--eps2", "--output", "--threads"]
+FROZEN_COMMON = ["-h", "--help", "--config"]
 
 
 def test_subcommand_option_strings_are_frozen():
@@ -296,6 +297,43 @@ def test_subcommand_option_strings_are_frozen():
         assert positionals == (["figure"] if command == "reproduce" else [])
     mode = next(a for a in subparsers.choices["simulate"]._actions if a.dest == "mode")
     assert mode.choices == ("tw", "cavity")
+    # every key but the two the command line sets is read by some command
+    rows = [row for _, row in cli._SUBCOMMANDS.values()]
+    assert set().union(*rows) == {f.name for f in dataclasses.fields(RunConfig)} - {
+        "command", "reproduce"}
+
+
+# a value away from RunConfig's default for every key a file may set
+_NOT_DEFAULT = {
+    "kappa": "0.02", "gamma1": "2", "gamma2": "2", "gamma3": "3", "eps1": "5", "eps2": "5j",
+    "mode": "tw", "dt": "1e-3", "t_max": "1", "sample_stride": "5", "n_traj": "8", "seed": "3",
+    "alpha1_0": "1", "alpha2_0": "1", "alpha3_0": "1j", "omega_min": "-1", "omega_max": "1",
+    "n_omega": "5", "ratio_min": "2", "ratio_max": "3", "n_ratio": "2", "eps_max": "5",
+    "reproduce": "fig4", "output": "x", "threads": "1",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_file_key_outside_the_row_is_refused(command, tmp_path, monkeypatch, capsys):
+    # each key the command does not read, set away from its default in a
+    # file, is one error line naming it; reproduce takes its figure from
+    # the command line, which overrides the file's
+    monkeypatch.chdir(tmp_path)
+    assert set(_NOT_DEFAULT) == {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    row = cli._SUBCOMMANDS[command][1]
+    argv = [command, *(["fig8"] if command == "reproduce" else []), "--config", "k.cfg"]
+    unread = [key for key in _NOT_DEFAULT
+              if key not in row and (command, key) != ("reproduce", "reproduce")]
+    assert unread
+    for key in unread:
+        assert config_values(f"{key}={_NOT_DEFAULT[key]}")[key] != getattr(RunConfig, key)
+        (tmp_path / "k.cfg").write_text(f"{key} = {_NOT_DEFAULT[key]}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == cli.EXIT_USAGE, key
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {command} does not read these keys; {key} in k.cfg cannot change them"]
 
 
 def test_flags_parse_like_config_keys():
@@ -350,10 +388,7 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
      "reproduce fig6 runs no ensemble; seed in ensemble.cfg cannot change them"),
     # the map sweeps gamma3 at every drive: no pump or gamma3 of its own
     (["stability-map", "--n-ratio", "2", "--eps1", "100", "--gamma3", "7"],
-     "stability-map sweeps gamma3 with no pump; --gamma3, --eps1 cannot change them"),
-    (["stability-map", "--n-ratio", "2", "--config", "map.cfg"],
-     "stability-map sweeps gamma3 with no pump; gamma3 in map.cfg, eps2 in map.cfg "
-     "cannot change them"),
+     "unrecognized arguments: --eps1 100 --gamma3 7"),
     # a travelling wave has no pump or loss to record beside its data
     (["simulate", *_TW_SMALL, "--eps1", "5", "--gamma3", "3"],
      "no pump or loss; --gamma3, --eps1 cannot change them"),
@@ -397,21 +432,16 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
     (["spectrum", "--gamma1", "1.7e308", "--gamma2", "1", "--n-omega", "5"],
      "frequency grid of +-20 gamma1 spans more than float64 holds (gamma1 1.7e+308); "
      "set omega_min and omega_max"),
-    # a command that runs no ensemble takes no trajectory key from a file
-    (["steady", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"],
-     "steady runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
-     "seed in traj.cfg cannot change them"),
-    (["spectrum", "--eps1", "200", "--eps2", "200", "--config", "traj.cfg"],
-     "spectrum runs no ensemble; sample_stride in traj.cfg, n_traj in traj.cfg, "
-     "seed in traj.cfg cannot change them"),
-    (["stability-map", "--n-ratio", "2", "--config", "start.cfg"],
-     "stability-map runs no ensemble; dt in start.cfg, alpha3_0 in start.cfg, "
-     "mode in start.cfg cannot change them"),
     # every ensemble runs on the calling thread
-    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--threads", "2"],
+    (["reproduce", "fig8", "--n-traj", "4", "--threads", "2"],
      "invariant violated: threads == 1 (got 2)"),
-    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--config", "threads.cfg"],
+    (["reproduce", "fig8", "--n-traj", "4", "--config", "threads.cfg"],
      "invariant violated: threads == 1 (got 2)"),
+    # argparse's own refusals, without its usage block; no flag is abbreviated
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    (["steady", "--eps3", "1"], "unrecognized arguments: --eps3 1"),
+    (["reproduce"], "the following arguments are required: FIG"),
+    (["stability-map", "--eps", "5"], "unrecognized arguments: --eps 5"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "t-max-not-whole-steps", "stride-past-grid",
@@ -420,7 +450,7 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "steady-eigenvalues-fail", "spectrum-eigenvalues-fail",
         "reproduce-physics-config-key", "reproduce-ensemble-flag",
         "reproduce-ensemble-config-key", "stability-map-physics-flag",
-        "stability-map-physics-config-key", "tw-physics-flag", "tw-physics-config-key",
+        "tw-physics-flag", "tw-physics-config-key",
         "undamped-cavity-automatic-dt",
         "stability-map-equal-ratio-bounds", "stability-map-ratios-not-distinct",
         "reproduce-repeated-figure", "output-not-read-back", "output-names-directory",
@@ -429,19 +459,14 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "moment-table-too-large", "batch-too-wide", "stability-map-tiny-kappa",
         "stability-map-default-eps-max-overflows",
         "steady-tiny-loss-rate", "spectrum-huge-gamma1-default-grid",
-        "steady-trajectory-config-keys", "spectrum-trajectory-config-keys",
-        "stability-map-trajectory-config-keys", "threads-flag-not-one",
-        "threads-config-key-not-one"])
+        "threads-flag-not-one", "threads-config-key-not-one", "no-such-command",
+        "unknown-flag", "reproduce-without-figure", "abbreviated-flag"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, needle, tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
     (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
     (tmp_path / "ensemble.cfg").write_text("n_traj = auto\nseed = 3\n")
-    (tmp_path / "map.cfg").write_text("gamma3 = 7\neps1 = 0\neps2 = 5\n")
-    (tmp_path / "traj.cfg").write_text("n_traj = 5\nseed = 4\nsample_stride = 3\n")
-    # dt and the initial amplitudes at their defaults would pass
-    (tmp_path / "start.cfg").write_text("mode = tw\ndt = 1e-3\nalpha1_0 = 0\nalpha3_0 = 2j\n")
     (tmp_path / "threads.cfg").write_text("threads = 2\n")
     (tmp_path / "sub").mkdir()
     with warnings.catch_warnings():
@@ -452,6 +477,25 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, needle, tmp_path, monk
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
     # every failure comes before any work is reported
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kappa", "6e-308", "--n-ratio", "2", "--eps-max", "1.7e308"],
+    ["--kappa", "1e-300", "--n-ratio", "2"],
+], ids=["eps-max-given", "eps-max-default"])
+def test_cli_stability_map_reports_an_overflowing_certificate_unbracketed(argv, tmp_path,
+                                                                         monkeypatch, capsys):
+    # the steady-state cubic at each certifying drive overflows float64: a
+    # failed certificate, reported in its row, not an error about a pump
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["stability-map", *argv]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 2
+    for line in out.splitlines():
+        assert "boundary NOT BRACKETED (closed form not certified: float64 overflows at drive " \
+            in line, line
 
 
 def test_cli_simulate_from_an_overflowing_amplitude_is_one_error_line(tmp_path, monkeypatch,
@@ -625,7 +669,7 @@ class _ClosedStdout(io.StringIO):
     (["steady", "--eps1", "200", "--eps2", "200"], ["o.csv", "o.json"]),
     (["stability-map", "--n-ratio", "3"], ["o.csv", "o.json"]),
     (["spectrum", "--eps1", "200", "--eps2", "200", "--n-omega", "5"], ["o.csv", "o.json"]),
-    (["simulate", "--n-traj", "4", "--t-max", "0.01", "--threads", "1"], ["o.csv", "o.json"]),
+    (["simulate", "--n-traj", "4", "--t-max", "0.01"], ["o.csv", "o.json"]),
     (["reproduce", "fig4", "fig5", "--plot-script"],
      [f"o_{fig}{end}" for fig in ("fig4", "fig5") for end in (".csv", ".json", "_plot.py")]),
 ], ids=["steady", "stability-map", "spectrum", "simulate", "reproduce"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import sfgsim as sf
-from sfgsim.errors import ParameterError
 
 EPS600 = sf.SystemParams.symmetric(0.01, 1.0, 10.0, 600.0)
 
@@ -137,12 +136,13 @@ def test_stability_map_certifies_with_two_solves_per_ratio(monkeypatch):
 
     stability = sf.steady.stability
     monkeypatch.setattr(sf.steady, "stability", counted)
-    rows = sf.stability_map(0.01, 1.0, [1.0, 4.0, 10.0, 100.0], (0.0, 1500.0), rel_tol=1e-5)
+    rows = sf.stability_map(0.01, 1.0, [1.0, 4.0, 10.0, 100.0], (0.0, 1500.0))
     assert len(calls) == 2 * 3
+    tol = sf.steady.BRACKET_REL_TOL
     for row, (below, above) in zip(rows, zip(calls[0::2], calls[1::2])):
         assert row.bracketed and row.epsilon_boundary == row.epsilon_closed_form
-        assert (below, above) == pytest.approx(
-            (row.epsilon_closed_form * (1 - 1e-5), row.epsilon_closed_form * (1 + 1e-5)))
+        assert (below, above) == (row.epsilon_closed_form * (1 - tol),
+                                  row.epsilon_closed_form * (1 + tol))
     assert not rows[3].bracketed and rows[3].note == "entire range stable"
 
 
@@ -179,8 +179,8 @@ def test_stability_map_certifies_what_stability_calls_stable(ratio):
     ((401.0, 500.0), "entire range unstable"),
 ])
 def test_stability_map_notes_a_range_without_the_bracket(eps_range, note):
-    # ratio 4: epsilon_c = 400, bracketed to (399.6, 400.4) at rel_tol 1e-3
-    row, = sf.stability_map(0.01, 1.0, [4.0], eps_range, rel_tol=1e-3)
+    # ratio 4: epsilon_c = 400, bracketed to (399.9996, 400.0004)
+    row, = sf.stability_map(0.01, 1.0, [4.0], eps_range)
     assert not row.bracketed and row.note.startswith(note)
 
 
@@ -189,14 +189,3 @@ def test_stability_map_validates_grids():
         sf.stability_map(0.01, 1.0, [], (0.0, 100.0))
     with pytest.raises(ValueError):
         sf.stability_map(0.01, 1.0, [2.0, 1.0], (0.0, 100.0))
-
-
-@pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1e-3, 1.0])
-def test_stability_map_validates_rel_tol(rel_tol):
-    # each gives no certified bracket (1 -/+ rel_tol) epsilon_c: NaN an
-    # undefined one, 0 an empty one, and -1e-3 or 1 one that is reversed or
-    # reaches zero drive
-    with pytest.raises(ParameterError, match="rel_tol"):
-        sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0), rel_tol=rel_tol)
-    row, = sf.stability_map(0.01, 1.0, [2.0], (0.0, 2000.0))
-    assert row.epsilon_boundary == pytest.approx(282.84, abs=0.01)

@@ -226,10 +226,8 @@ def test_classical_rhs_block_equals_columns():
     columns = np.concatenate([steady.classical_rhs(p, x[:, j:j + 1]) for j in range(37)],
                              axis=1)
     assert np.array_equal(block, columns)
-    # a block may come as six rows; an out it cannot write in place is refused
+    # a block may come as six rows
     assert np.array_equal(steady.classical_rhs(p, tuple(x)), block)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        steady.classical_rhs(p, x, out=np.empty((6, 74), dtype=complex)[:, ::2])
     states = np.stack([steady.classical_rhs(p, x[:, j]) for j in range(37)], axis=1)
     assert np.allclose(states, block, rtol=1e-14, atol=0)
 
@@ -243,9 +241,6 @@ def test_classical_rhs_is_the_written_out_flow_bit_for_bit(eps1, eps2, gamma1, g
     x = _signed_zero_states()
     want = oracles.classical_rhs_written_out(p, x)
     assert _same_bits(steady.classical_rhs(p, x), want)
-    out = np.empty_like(x)
-    assert steady.classical_rhs(p, x, out=out) is out
-    assert _same_bits(out, want)
     # the widths the ensemble runs: numpy's vector loops split a row into
     # a body and a remainder by width, and the stacked rows run as longer
     # loops than the written-out ones.  Generic values as well, whose
@@ -304,8 +299,8 @@ def test_general_solver_backtracks_a_newton_step_that_raises_the_residual(monkey
     residuals, rhs = [], steady.classical_rhs
     solves, solve = [], np.linalg.solve
 
-    def recorded(params, x, out=None):
-        F = rhs(params, x, out)
+    def recorded(params, x):
+        F = rhs(params, x)
         residuals.append(float(np.max(np.abs(F))))
         return F
 
