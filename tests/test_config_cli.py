@@ -442,6 +442,14 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
     (["steady", "--eps3", "1"], "unrecognized arguments: --eps3 1"),
     (["reproduce"], "the following arguments are required: FIG"),
     (["stability-map", "--eps", "5"], "unrecognized arguments: --eps 5"),
+    # the map sweeps gamma3 with no pump and runs no ensemble: a file's
+    # gamma3, pump or trajectory keys are refused all at once
+    (["stability-map", "--n-ratio", "2", "--config", "map.cfg"],
+     "stability-map does not read these keys; gamma3 in map.cfg, eps2 in map.cfg "
+     "cannot change them"),
+    (["stability-map", "--n-ratio", "2", "--config", "start.cfg"],
+     "stability-map does not read these keys; mode in start.cfg, dt in start.cfg, "
+     "alpha3_0 in start.cfg cannot change them"),
 ], ids=["nan-pump", "inf-kappa", "steady-gamma3-zero", "spectrum-gamma3-zero",
         "missing-config", "output-dir-missing", "simulate-output-dir-missing",
         "tw-zero-a1", "t-max-not-whole-steps", "stride-past-grid",
@@ -460,13 +468,17 @@ _EIGENVALUES_FAIL = ["--eps1", "2.0770316667695102e+144", "--eps2", "2.077031666
         "stability-map-default-eps-max-overflows",
         "steady-tiny-loss-rate", "spectrum-huge-gamma1-default-grid",
         "threads-flag-not-one", "threads-config-key-not-one", "no-such-command",
-        "unknown-flag", "reproduce-without-figure", "abbreviated-flag"])
+        "unknown-flag", "reproduce-without-figure", "abbreviated-flag",
+        "stability-map-physics-config-key", "stability-map-trajectory-config-keys"])
 def test_cli_failure_is_one_error_line_and_exit_one(argv, needle, tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "physics.cfg").write_text("seed = 4\nkappa = 2\neps1 = 1e200\n")
     (tmp_path / "tw.cfg").write_text("gamma1 = 0\ngamma2 = 1\neps2 = 0\ngamma3 = 3\n")
     (tmp_path / "ensemble.cfg").write_text("n_traj = auto\nseed = 3\n")
+    (tmp_path / "map.cfg").write_text("gamma3 = 7\neps1 = 0\neps2 = 5\n")
+    # dt and the initial amplitudes at their defaults would pass
+    (tmp_path / "start.cfg").write_text("mode = tw\ndt = 1e-3\nalpha1_0 = 0\nalpha3_0 = 2j\n")
     (tmp_path / "threads.cfg").write_text("threads = 2\n")
     (tmp_path / "sub").mkdir()
     with warnings.catch_warnings():
