@@ -28,6 +28,7 @@ variable is read.
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -159,14 +160,14 @@ def _merge_config(args):
 
 
 def write_csv(path, columns, units=None):
-    """CSV with a header naming columns and units, full precision."""
+    """CSV with a header naming columns and units, full precision; a cell
+    holding a comma is quoted."""
     units = units or {}
-    header = ",".join(f"{n} ({units[n]})" if n in units else n for n in columns)
     arrays = [np.asarray(v) for v in columns.values()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(arrays[0])):
-            fh.write(",".join(cfgmod._render_value(a[i]) for a in arrays) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(f"{n} ({units[n]})" if n in units else n for n in columns)
+        out.writerows([cfgmod._render_value(a[i]) for a in arrays] for i in range(len(arrays[0])))
 
 
 def write_sidecar(path, cfg, extra=None):

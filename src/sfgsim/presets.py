@@ -10,13 +10,14 @@ pumps, and ``fig8`` follows the above-threshold regime where the
 semiclassical prediction breaks down.
 
 The first of ``fig1``-``fig3`` run for an ``(n_traj, seed)`` integrates
-the ensemble once and keeps all three figures' results (or errors),
-dropping the ensemble itself.  A later call for the same key and figure
-takes its result once; any other call integrates again.
+the ensemble and analyses it for that figure alone; the ensemble stays
+pending for the other two.  A later call for the same key analyses it
+for its own figure, once per figure, and the last one frees it.  A figure
+asked for again, or a new key, integrates a new ensemble in place of the
+pending one.
 """
 
 import operator
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,38 +93,22 @@ def _run_metadata(table):
             "seed": table.config.seed}
 
 
-# (n_traj, seed) -> {figure: PresetResult or the error its analysis raised},
-# at most one key; each entry is handed out once
+# (n_traj, seed) -> (table, the fig1-fig3 figures not yet analysed on it),
+# at most one key; only _run_tw reads or writes it
 _PENDING = {}
 
 
-def _tw_analyses(key):
-    """Every fig1-fig3 analysis of one ensemble."""
-    table = travelling_wave_ensemble(*key)
-    results = {}
-    for name, (_, analyse) in _TW_ANALYSES.items():
-        try:
-            results[name] = analyse(table)
-        except Exception as exc:
-            # kept without its traceback, whose frames would hold this call
-            # and its callers alive while the error waits; where it was
-            # raised stays as a note
-            where = "".join(traceback.format_tb(exc.__traceback__)).rstrip()
-            exc.add_note(f"raised in the shared fig1-fig3 analysis at:\n{where}")
-            results[name] = exc.with_traceback(None)
-    return results
-
-
 def _run_tw(preset, n_traj=None, seed=None):
-    """Runner of fig1-fig3: a pending result for this key, or a new ensemble."""
+    """Runner of fig1-fig3: this figure's analysis of the pending ensemble, or of a new one."""
     key = (preset.default_n_traj if n_traj is None else n_traj, TW_SEED if seed is None else seed)
-    if preset.name not in _PENDING.get(key, ()):
-        _PENDING.clear()
-        _PENDING[key] = _tw_analyses(key)
-    result = _PENDING[key].pop(preset.name)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    if preset.name not in _PENDING.get(key, (None, ()))[1]:
+        _PENDING.clear()  # the old table is freed before the new one is allocated
+        _PENDING[key] = (travelling_wave_ensemble(*key), set(_TW_ANALYSES))
+    table, waiting = _PENDING.pop(key)
+    waiting.remove(preset.name)
+    if waiting:
+        _PENDING[key] = (table, waiting)
+    return _TW_ANALYSES[preset.name][1](table)
 
 
 def _sig(values, se, bound):

@@ -1,5 +1,6 @@
 """Configuration parsing, presets and the command-line interface."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -640,14 +641,22 @@ def test_reproduce_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypatch)
 
 def test_stability_map_csv_is_reproducible_from_sidecar_alone(tmp_path, monkeypatch):
     # the sidecar renders gamma3 and the pumps at their defaults, which a
-    # replay accepts
+    # replay accepts; the second map's failed-certificate note holds a
+    # comma, quoted in its cell
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["stability-map", "--n-ratio", "3", "--kappa", "0.02",
-                     "--output", "first"]) == 0
-    meta = json.loads((tmp_path / "first.json").read_text())
-    (tmp_path / "replay.cfg").write_text(meta["config"])
-    assert cli.main(["stability-map", "--config", "replay.cfg", "--output", "second"]) == 0
-    assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+    for argv in (["--n-ratio", "3", "--kappa", "0.02"],
+                 ["--gamma1", "1e-4", "--gamma2", "1e-4", "--n-ratio", "1",
+                  "--ratio-min", "1", "--ratio-max", "1", "--eps-max", "1"]):
+        assert cli.main(["stability-map", *argv, "--output", "first"]) == 0
+        meta = json.loads((tmp_path / "first.json").read_text())
+        (tmp_path / "replay.cfg").write_text(meta["config"])
+        assert cli.main(["stability-map", "--config", "replay.cfg", "--output", "second"]) == 0
+        assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+        with open(tmp_path / "first.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [4] * len(rows), rows
+    assert rows[1][3] == ("closed form not certified: margin 1e-10 at 1.999998e-06, "
+                          "-1e-10 at 2.000002e-06")
 
 
 @pytest.mark.parametrize("argv", [["steady", "--eps1", "200", "--eps2", "200"],
