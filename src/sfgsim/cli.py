@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: ``steady``, ``stability-map``, ``spectrum``,
-``simulate --mode tw|cavity`` and ``reproduce FIG [FIG ...]``; with several
-figures, ``--output P`` writes each figure under ``P_figN``.  Each
+``simulate --mode tw|travelling-wave|cavity`` and
+``reproduce FIG [FIG ...]``; with several figures, ``--output P`` writes
+each figure under ``P_figN``.  Each
 subcommand's row in ``_SUBCOMMANDS`` names the ``RunConfig`` keys it reads,
 and those keys are its only flags; a flag's value parses exactly as the
 same key does in a configuration file, and flags override values read
@@ -87,7 +88,7 @@ _SUBCOMMANDS = {
 _FLAG_EXTRAS = {
     "output": {"metavar": "PREFIX", "help": "output file prefix"},
     "threads": {"help": "only 1: ensembles run on the calling thread"},
-    "mode": {"choices": ("tw", "cavity")},
+    "mode": {"choices": cfgmod.MODES},
 }
 
 

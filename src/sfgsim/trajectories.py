@@ -233,19 +233,26 @@ class MomentTable:
     (2 x 3 + 4 x 9) = B x S x 42 complex numbers (66 MiB at 64 batches and
     1601 samples) whatever the ensemble size.  ``global_view`` costs its
     result and one S-row product per table, once: the table keeps it.
-    Moments come positionally in ``MOMENTS`` order or by name.
+    The moments come positionally, one per entry of ``MOMENTS`` in its
+    order; another count raises ValueError.
+
+    ``MomentTable.exact`` makes the table of exactly known moments, each
+    (S, 3) or (S, 3, 3): two identical one-trajectory batches, so every
+    ``batch_statistic`` SE is exactly 0 and ``global_view`` returns the
+    moments given (2m/2; a signed zero may change).
     """
 
     def __init__(self, times, batch_counts, batch_valid, *moments,
-                 n_diverged, config, params, **named):
-        given = len(moments) + len(named)
-        named.update(zip(MOMENTS, moments))
-        if given != len(MOMENTS) or named.keys() != MOMENTS.keys():
-            raise TypeError(f"MomentTable takes each of the moments {list(MOMENTS)} once")
-        self.__dict__.update(named)
+                 n_diverged, config, params):
+        self.__dict__.update(zip(MOMENTS, moments, strict=True))
         self.times, self.batch_counts, self.batch_valid = times, batch_counts, batch_valid
         self.n_diverged, self.config, self.params = n_diverged, config, params
         self._global = None
+
+    @classmethod
+    def exact(cls, times, *moments, params=None):
+        return cls(times, np.ones(2, int), np.ones(2, int), *(np.stack([m, m]) for m in moments),
+                   n_diverged=0, config=None, params=params)
 
     @property
     def nonempty(self):

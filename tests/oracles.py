@@ -9,9 +9,13 @@ for its moment reduction, one stacked expression for its batch
 combination, a loop over state tuples for the mean-field path, a
 per-frequency loop for the batched spectral sweep, periodogram averaging
 of a directly simulated linear SDE for the spectral formula, Wick
-closure for Gaussian moment closed forms, and the two-mode witnesses
-written out separately for the ensemble and for the output spectra.
+closure for Gaussian moment closed forms, traces over a Fock-basis
+density matrix for the moments of a non-Gaussian state, and the two-mode
+witnesses written out separately for the ensemble and for the output
+spectra.
 """
+
+import functools
 
 import numpy as np
 import scipy.optimize
@@ -397,6 +401,58 @@ def gaussian_moment_tables(mean, sigma):
     nn = np.array([[[fourth(pi[j], ai[j], pi[k], ai[k]) for k in range(3)]
                     for j in range(3)]])
     return a, ap, aa, apap, apa, nn
+
+
+# ---------------------------------------------------------------------------
+# a non-Gaussian state in the Fock basis
+
+
+def fock_mixed_state(seed, support=2, cutoff=4, rank=3):
+    """A random mixed state of the three modes and their lowering operators.
+
+    The state, a rank-``rank`` density matrix, holds at most ``support``
+    photons in each mode; a state of bounded photon number other than the
+    vacuum is not Gaussian.  The operators are truncated at ``cutoff``
+    photons per mode, so every product of up to ``cutoff - support``
+    raising operators, a a+ included, acts on the state exactly.  Returns
+    ``(rho, (a1, a2, a3))`` as (D, D) matrices, D = (cutoff + 1)^3.
+    """
+    rng = np.random.default_rng(seed)
+    levels = cutoff + 1
+    lower, eye = np.diag(np.sqrt(np.arange(1.0, levels)), 1), np.eye(levels)
+
+    def embed(j):
+        mats = [lower if k == j else eye for k in range(3)]
+        return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+    inside = (np.indices((levels,) * 3) <= support).all(axis=0).ravel()
+    g = rng.standard_normal((levels**3, rank)) + 1j * rng.standard_normal((levels**3, rank))
+    g[~inside] = 0.0
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real, tuple(embed(j) for j in range(3))
+
+
+def fock_normal_moments(rho, ops):
+    """The six normally ordered moments of ``rho`` as Tr(rho O), one sample.
+
+    In the layout of MomentView, written out per entry: <a_j>, <a_j+>,
+    <a_j a_k>, <a_j+ a_k+>, <a_j+ a_k> and <a_j+ a_k+ a_j a_k>.
+    """
+    a = ops
+    ad = [op.conj().T for op in ops]
+
+    def ev(*factors):
+        return np.trace(rho @ functools.reduce(np.matmul, factors))
+
+    def first(f):
+        return np.array([[ev(f[j]) for j in range(3)]])
+
+    def pair(g):
+        return np.array([[[g(j, k) for k in range(3)] for j in range(3)]])
+
+    return (first(a), first(ad), pair(lambda j, k: ev(a[j], a[k])),
+            pair(lambda j, k: ev(ad[j], ad[k])), pair(lambda j, k: ev(ad[j], a[k])),
+            pair(lambda j, k: ev(ad[j], ad[k], a[j], a[k])))
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_subcommand_option_strings_are_frozen():
         positionals = [a.dest for a in sub._actions if not a.option_strings]
         assert positionals == (["figure"] if command == "reproduce" else [])
     mode = next(a for a in subparsers.choices["simulate"]._actions if a.dest == "mode")
-    assert mode.choices == ("tw", "cavity")
+    assert mode.choices == MODES
     # every key but the two the command line sets is read by some command
     rows = [row for _, row in cli._SUBCOMMANDS.values()]
     assert set().union(*rows) == {f.name for f in dataclasses.fields(RunConfig)} - {
@@ -602,6 +602,11 @@ def test_cli_simulate_writes_csv_and_sidecar(tmp_path):
     )
     r = run_cli(["simulate", "--config", "tw.cfg", "--output", "run1"], tmp_path)
     assert r.returncode == 0, r.stderr
+    # every mode name a file may hold is a flag choice too, and means the same run
+    r = run_cli(["simulate", "--config", "tw.cfg", "--mode", "travelling-wave",
+                 "--output", "run2"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "run1.csv").read_bytes() == (tmp_path / "run2.csv").read_bytes()
     header = (tmp_path / "run1.csv").read_text().splitlines()[0]
     assert header.startswith("zeta")
     assert "n1" in header and "vx3" in header

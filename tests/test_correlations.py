@@ -11,28 +11,21 @@ import sfgsim as sf
 from sfgsim.correlations import QuadratureSpec
 from sfgsim.errors import CorrelationError
 from sfgsim.spectra import _U
-from sfgsim.trajectories import MomentTable, TrajectoryConfig
+from sfgsim.trajectories import MOMENTS, MomentTable, TrajectoryConfig
 
 import oracles
 
 
 def table_from_samples(samples, n_batches=16):
-    """MomentTable with one sample time built from raw phase-space draws."""
+    """MomentTable with one sample time built from raw phase-space draws,
+    the batch means passed positionally in ``MOMENTS`` order."""
     n = samples.shape[0]
     states = samples.reshape(n, 1, 6)
     means, counts = oracles.scalar_reference_batch_means(states, n_batches)
     cfg = TrajectoryConfig(dt=1.0, t_max=1.0, n_traj=n, seed=0,
                            sample_stride=1, n_batches=n_batches)
-    return MomentTable(
-        times=np.array([0.0]),
-        batch_counts=counts,
-        batch_valid=counts.copy(),
-        a=means["a"], ap=means["ap"], aa=means["aa"], apap=means["apap"],
-        apa=means["apa"], nn=means["nn"],
-        n_diverged=0,
-        config=cfg,
-        params=sf.SystemParams(kappa=1.0),
-    )
+    return MomentTable(np.array([0.0]), counts, counts.copy(), *(means[name] for name in MOMENTS),
+                       n_diverged=0, config=cfg, params=sf.SystemParams(kappa=1.0))
 
 
 def coherent_samples(n, alphas, seed=0):
@@ -134,15 +127,7 @@ def test_observables_match_gaussian_closed_forms():
     mean = ss.phase_space
 
     a, ap, aa, apap, apa, nn = oracles.gaussian_moment_tables(mean, sigma)
-    cfg = TrajectoryConfig(dt=1.0, t_max=1.0, n_traj=64, seed=0, sample_stride=1)
-    exact = MomentTable(
-        times=np.array([0.0]), batch_counts=np.ones(64, int),
-        batch_valid=np.ones(64, int),
-        a=np.repeat(a[None], 64, 0), ap=np.repeat(ap[None], 64, 0),
-        aa=np.repeat(aa[None], 64, 0), apap=np.repeat(apap[None], 64, 0),
-        apa=np.repeat(apa[None], 64, 0), nn=np.repeat(nn[None], 64, 0),
-        n_diverged=0, config=cfg, params=p,
-    )
+    exact = MomentTable.exact(np.array([0.0]), a, ap, aa, apap, apa, nn, params=p)
 
     # independent closed forms straight from sigma
     def v_closed(j, theta):
@@ -177,6 +162,47 @@ def test_observables_match_gaussian_closed_forms():
     var_n = np.real(nn[0, 0, 0] + 2 * nn[0, 0, 1] + nn[0, 1, 1]
                     - (apa[0, 0, 0] + apa[0, 1, 1]) ** 2)
     assert fano_exact == pytest.approx(1.0 + var_n / n_mean, rel=1e-6)
+
+
+def test_ordering_corrections_are_exact_on_a_non_gaussian_state():
+    # the normally ordered moments of a random mixed state of at most two
+    # photons per mode, read through MomentTable.exact: each measure equals
+    # Tr(rho O) of its operators, so every vacuum unit and photon-number
+    # mean is added once, and no SE is left
+    rho, ops = oracles.fock_mixed_state(seed=3)
+    m = MomentTable.exact(np.zeros(1), *oracles.fock_normal_moments(rho, ops))
+
+    def mean(op):
+        return np.trace(rho @ op).real
+
+    def cov(p, q):  # p and q Hermitian and commuting
+        return mean(p @ q) - mean(p) * mean(q)
+
+    def quadrature(mode, theta):
+        a = ops[mode - 1]
+        return np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T
+
+    def x(mode):
+        return quadrature(mode, 0.0)
+
+    def y(mode):
+        return quadrature(mode, np.pi / 2)
+
+    n12 = sum(a.conj().T @ a for a in ops[:2])
+    checks = [(sf.quadrature_variance(m, QuadratureSpec(mode, theta)),
+               cov(quadrature(mode, theta), quadrature(mode, theta)))
+              for mode in (1, 2, 3) for theta in (0.0, np.pi / 2, 0.7)]
+    checks.append((sf.fano_sum(m), cov(n12, n12) / mean(n12)))
+    for sign in (+1, -1):
+        joint = (x(1) + sign * x(2), y(1) - sign * y(2))
+        checks.append((sf.duan_simon(m, sign), sum(cov(q, q) for q in joint)))
+    for j, k in itertools.permutations((1, 2, 3), 2):
+        inferred = [cov(q(j), q(j)) - cov(q(j), q(k)) ** 2 / cov(q(k), q(k)) for q in (x, y)]
+        checks.append((sf.epr_product(m, j, k), inferred[0] * inferred[1]))
+    assert len(checks) == 9 + 1 + 2 + 6
+    for series, want in checks:
+        assert series.values[0] == pytest.approx(want, rel=0, abs=1e-10), series.label
+        assert series.se.tolist() == [0.0], series.label
 
 
 def test_exchange_symmetry_time_domain():
@@ -308,18 +334,15 @@ def witness_halves(Q, mean=(1.0, 1.0, 0.8, 0.8, 0.5, 0.5)):
 
     ``Q`` is a 6 x 6 quadrature covariance over (X1, Y1, X2, Y2, X3, Y3)
     with the vacuum unit on its diagonal.  The spectra read it as the
-    output matrix at one frequency; the ensemble reads a two-batch table
-    of the exact Gaussian moments whose quadrature covariance it is.
+    output matrix at one frequency; the ensemble reads the
+    ``MomentTable.exact`` table of the Gaussian moments whose quadrature
+    covariance it is.
     """
     res = sf.SpectrumResult(omega=np.zeros(1), intracavity=None, output=Q[None],
                             max_asymmetry=0.0)
     to_phase_space = np.linalg.inv(_U)
     sigma = to_phase_space @ (Q - np.eye(6)) @ to_phase_space.T
-    moments = oracles.gaussian_moment_tables(mean, sigma)
-    cfg = TrajectoryConfig(dt=1.0, t_max=1.0, n_traj=2, seed=0, sample_stride=1, n_batches=2)
-    m = MomentTable(np.zeros(1), np.ones(2, int), np.ones(2, int),
-                    *(np.repeat(t[None], 2, 0) for t in moments),
-                    n_diverged=0, config=cfg, params=sf.SystemParams(kappa=1.0))
+    m = MomentTable.exact(np.zeros(1), *oracles.gaussian_moment_tables(mean, sigma))
     return {
         "spectra": (lambda sign=+1: sf.spectral_duan_simon(res, sign),
                     lambda *pair: sf.spectral_epr(res, *pair)),

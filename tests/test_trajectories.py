@@ -308,19 +308,40 @@ def test_a_table_without_survivors_has_nan_standard_errors():
 
 
 def test_moment_table_takes_each_moment_once():
-    # positionally in MOMENTS order, by name, or both; never one too many,
-    # one twice or one missing
-    arr, valid, cfg = np.zeros((2, 1, 3, 3), dtype=complex), np.ones(2, int), tw_config()
-    names = list(trajectories.MOMENTS)
-    for args, named in (((arr,) * 6, {}), ((), dict.fromkeys(names, arr)),
-                        ((arr,) * 4, dict.fromkeys(names[4:], arr))):
-        m = trajectories.MomentTable(None, valid, valid, *args, **named,
+    # positionally in MOMENTS order, each array stored as given; one too
+    # many or one missing raises
+    valid, cfg = np.ones(2, int), tw_config()
+    moments = [np.zeros((2, 1, 3, 3), dtype=complex) for _ in trajectories.MOMENTS]
+    m = trajectories.MomentTable(None, valid, valid, *moments,
+                                 n_diverged=0, config=cfg, params=TW)
+    assert all(getattr(m, name) is arr for name, arr in zip(trajectories.MOMENTS, moments))
+    for args in ((*moments, moments[0]), moments[:5]):
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (longer|shorter)"):
+            trajectories.MomentTable(None, valid, valid, *args,
                                      n_diverged=0, config=cfg, params=TW)
-        assert all(getattr(m, name) is arr for name in names)
-    for args, named in (((arr,) * 7, {}), ((arr,) * 6, {"nn": arr}), ((arr,) * 5, {})):
-        with pytest.raises(TypeError, match="each of the moments"):
-            trajectories.MomentTable(None, valid, valid, *args, **named,
-                                     n_diverged=0, config=cfg, params=TW)
+
+
+def test_an_exact_table_has_zero_standard_errors_and_returns_its_moments():
+    # two identical one-trajectory batches: every batch value equals the
+    # combined one, so each SE is exactly 0, and the combined view is 2m/2
+    rng = np.random.default_rng(13)
+    S = 5
+    moments = []
+    for _, right in trajectories.MOMENTS.values():
+        shape = (S, 3) + (() if right is None else (3,))
+        moments.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                       * 10.0 ** rng.integers(-100, 100, size=shape))
+    m = trajectories.MomentTable.exact(np.arange(S) * 0.1, *moments, params=TW)
+    assert m.batch_counts.tolist() == m.batch_valid.tolist() == [1, 1]
+    assert m.n_diverged == 0 and m.config is None and m.params is TW
+    view = m.global_view()
+    for name, arr in zip(trajectories.MOMENTS, moments):
+        assert np.array_equal(getattr(view, name), arr), name
+        value, se = m.batch_statistic(lambda v: getattr(v, name) * getattr(v, name))
+        assert np.array_equal(value, arr * arr) and np.all(se == 0), name
+    value, se = m.intensities()
+    assert np.array_equal(value, np.real(np.einsum("sjj->sj", moments[4])))
+    assert np.all(se == 0)
 
 
 def test_ensemble_memory_is_one_moment_table():
