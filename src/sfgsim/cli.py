@@ -67,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_PHYSICS_KEYS = ("kappa", "gamma1", "gamma2", "gamma3", "eps1", "eps2")
+_PHYSICS_KEYS = cfgmod.PHYSICS_KEYS
 _TRAJECTORY_KEYS = ("dt", "t_max", "sample_stride", "n_traj", "seed",
                     "alpha1_0", "alpha2_0", "alpha3_0")
 
@@ -109,7 +109,7 @@ def build_parser():
                            type=functools.partial(cfgmod._parse_value, key),
                            default=argparse.SUPPRESS, **_FLAG_EXTRAS.get(key, {}))
     p = sub.choices["reproduce"]
-    p.add_argument("figure", nargs="+", choices=sorted(presetsmod.PRESETS), metavar="FIG",
+    p.add_argument("figure", nargs="+", choices=cfgmod.FIGURES, metavar="FIG",
                    help="fig1 to fig8; with several, --output P writes P_figN")
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a matplotlib script for the CSV")
@@ -138,7 +138,7 @@ def _merge_config(args):
     if args.command == "reproduce" and all(
             presetsmod.PRESETS[fig].default_n_traj is None for fig in args.figure):
         rules.append((("n_traj", "seed"), f"reproduce {' '.join(args.figure)} runs no ensemble", ()))
-    if args.command == "simulate" and merged.get("mode") in ("tw", "travelling-wave"):
+    if args.command == "simulate" and cfgmod.MODES.get(merged.get("mode")) == "travelling-wave":
         rules.append((_PHYSICS_KEYS[1:], "a travelling-wave run has no pump or loss", (0,)))
     for unused, why, kept in rules:
         ignored = (["--" + key.replace("_", "-") for key in unused if key in flags]

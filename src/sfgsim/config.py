@@ -16,11 +16,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .params import SystemParams
 from .spectra import N_OMEGA, default_omegas
 
 COMMANDS = ("steady", "stability-map", "spectrum", "simulate", "reproduce")
-MODES = ("cavity", "travelling-wave", "tw")
+# the one alias map: each accepted mode name -> the trajectories mode it runs;
+# validation, the --mode flag and every mode rule read it
+MODES = {"cavity": "cavity", "travelling-wave": "travelling-wave", "tw": "travelling-wave"}
 FIGURES = tuple(f"fig{i}" for i in range(1, 9))
+# the RunConfig keys that make a SystemParams, in its field order
+PHYSICS_KEYS = tuple(f.name for f in fields(SystemParams))
 
 # key -> (comparison, bound) that the key's value, when set, must meet
 _BOUNDS = {"kappa": (">", 0), "gamma1": (">=", 0), "gamma2": (">=", 0), "gamma3": (">=", 0),
@@ -93,7 +98,7 @@ class RunConfig:
             if val is not None and not _COMPARISONS[op](val, bound):
                 raise ConfigError(f"invariant violated: {name} {op} {bound} (got {val!r})")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError("invariant violated: seed must fit in 64 bits")
         if not 0 < self.ratio_min <= self.ratio_max or (
@@ -106,7 +111,7 @@ class RunConfig:
 
     @property
     def canonical_mode(self):
-        return "travelling-wave" if self.mode in ("tw", "travelling-wave") else "cavity"
+        return MODES[self.mode]
 
 
 def _schema_entry(annotation):
@@ -179,14 +184,9 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def system_params(cfg: RunConfig):
-    from .params import SystemParams
-
     if cfg.canonical_mode == "travelling-wave" and cfg.command == "simulate":
         return SystemParams.travelling_wave(cfg.kappa)
-    return SystemParams(
-        kappa=cfg.kappa, gamma1=cfg.gamma1, gamma2=cfg.gamma2, gamma3=cfg.gamma3,
-        eps1=cfg.eps1, eps2=cfg.eps2,
-    )
+    return SystemParams(**{k: getattr(cfg, k) for k in PHYSICS_KEYS})
 
 
 def resolved_dt(cfg: RunConfig):

@@ -28,6 +28,7 @@ from sfgsim.config import (
     omega_grid,
     parse_config,
     render_config,
+    trajectory_config,
 )
 from sfgsim.errors import ConfigError
 from sfgsim.presets import PRESETS
@@ -175,7 +176,7 @@ def run_configs(draw):
         gamma1=draw(st.floats(0, 1e300)), gamma2=draw(st.floats(0, 1e300)),
         gamma3=draw(st.floats(0, 1e300)),
         eps1=draw(_COMPLEX), eps2=draw(_COMPLEX),
-        mode=draw(st.sampled_from(MODES)),
+        mode=draw(st.sampled_from(tuple(MODES))),
         dt=draw(_optional(_POSITIVE)), t_max=draw(_optional(_POSITIVE)),
         sample_stride=draw(st.integers(1, 10**9)),
         n_traj=draw(_optional(st.integers(2, 10**12))),
@@ -490,6 +491,35 @@ def test_cli_failure_is_one_error_line_and_exit_one(argv, needle, tmp_path, monk
     assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
     # every failure comes before any work is reported
     assert out == ""
+
+
+@pytest.mark.parametrize("name", MODES)
+def test_simulate_refuses_a_pump_for_exactly_the_travelling_wave_names(name, tmp_path,
+                                                                        monkeypatch, capsys):
+    # the pump-and-loss rule reads the alias map: a pump is refused under
+    # every name of the travelling wave, and a cavity runs with it
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", "--mode", name, "--eps1", "5", *_TW_SMALL[2:]])
+    err = capsys.readouterr().err
+    if MODES[name] == "travelling-wave":
+        assert code == cli.EXIT_USAGE and err == (
+            "error: a travelling-wave run has no pump or loss; --eps1 cannot change them\n")
+    else:
+        assert code == cli.EXIT_OK and err == ""
+
+
+def test_names_shared_by_config_cli_and_engine_are_stated_once():
+    # each mode name runs the trajectories mode the alias map gives it
+    for name, mode in MODES.items():
+        assert trajectory_config(RunConfig(command="simulate", mode=name).validate()).mode == mode
+    assert set(MODES.values()) == set(trajectories._MODES)
+    assert tuple(PRESETS) == FIGURES
+    assert cli._PHYSICS_KEYS == tuple(f.name for f in dataclasses.fields(SystemParams))
+    reproduce = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    figure = next(a for a in reproduce.choices["reproduce"]._actions if a.dest == "figure")
+    assert figure.choices == FIGURES
 
 
 @pytest.mark.parametrize("argv", [

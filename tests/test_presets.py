@@ -5,10 +5,11 @@ trajectory count given."""
 import traceback
 import weakref
 
+import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from sfgsim import presets, trajectories
+from sfgsim import SystemParams, presets, trajectories
 from sfgsim.errors import CorrelationError, ParameterError
 
 # the errors fig2 and fig3 raise on their own at 64 trajectories, seed 3
@@ -185,3 +186,26 @@ def test_zero_trajectories_are_refused_not_replaced_by_the_default(fig, monkeypa
     monkeypatch.setattr(trajectories, "semiclassical_trajectory", stub)
     with pytest.raises(ParameterError, match="n_traj must be >= 2"):
         presets.PRESETS[fig].run(n_traj=0, seed=3)
+
+
+def _fig8_semiclassical_n(dt):
+    """fig8's semiclassical n1, n2, n3 from vacuum at step dt, on the preset's
+    samples after t = 0 (every 0.1 up to t = 14)."""
+    cfg = trajectories.TrajectoryConfig(dt=dt, t_max=14.0, n_traj=2, seed=0,
+                                        sample_stride=round(0.1 / dt), mode="cavity")
+    _, path = trajectories.semiclassical_trajectory(
+        SystemParams(**presets.PRESETS["fig8"].parameters["run"]),
+        trajectories.PhaseSpacePoint.vacuum(), cfg)
+    return np.real(path[1:, 1::2] * path[1:, 0::2])
+
+
+def test_fig8_step_meets_its_rule():
+    # the Richardson estimate (4/3)|x(dt) - x(dt/2)| / |x(dt/2)| of each mean
+    # intensity is at most 1e-4 at the preset's step, and not at twice it: the
+    # step is neither too long nor needlessly short
+    n = {k: _fig8_semiclassical_n(k * presets.CAVITY_DT) for k in (0.5, 1, 2)}
+
+    def estimate(coarse, fine):
+        return float(np.max(4 / 3 * np.abs(n[coarse] - n[fine]) / np.abs(n[fine])))
+
+    assert estimate(1, 0.5) <= 1e-4 < estimate(2, 1)
